@@ -16,8 +16,9 @@
 //
 // Replica scaling rides the process-wide hwp3d::ThreadPool, so size it
 // to the host: bench_serve --threads 4 --replicas 1,2,4. Other flags:
-// --clips N, --max-batch N, --max-delay-us N, --executor sim|fast,
-// --json-out=PATH.
+// --clips N, --max-batch N, --max-delay-us N, --executor sim|fast
+// (anything else exits 2), --json-out=PATH, --trace-out F,
+// --metrics-out F.
 //
 // Fault sweep: --fault-rate=0.1 (or HWP_FAULTS=serve.replica_infer=0.1)
 // injects transient replica failures. The bench then classifies every
@@ -28,6 +29,8 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,6 +90,22 @@ std::vector<int> ParseIntList(const char* s) {
 int main(int argc, char** argv) {
   const obs::CliOptions obs_opts = obs::InitFromArgs(argc, argv);
   SetLogLevel(LogLevel::Warning);
+  // --executor picks the engine the serving section runs; the
+  // executor-comparison section always measures both.
+  const std::optional<fpga::ExecMode> exec_or =
+      obs_opts.executor.empty() ? fpga::ExecMode::kFast
+                                : fpga::ParseExecMode(obs_opts.executor);
+  if (!exec_or.has_value()) {
+    std::fprintf(stderr, "invalid --executor \"%s\" (want sim|fast)\n",
+                 obs_opts.executor.c_str());
+    return 2;
+  }
+  const fpga::ExecMode exec = *exec_or;
+  // Every exit after this point writes --trace-out / --metrics-out.
+  const auto finish = [&obs_opts](int code) {
+    obs::Finalize(obs_opts);
+    return code;
+  };
 
   std::string json_path = "BENCH_serve.json";
   int num_clips = 64;
@@ -138,11 +157,6 @@ int main(int argc, char** argv) {
                 {.lr = 0.02f, .momentum = 0.9f, .weight_decay = 0.0f});
     nn::TrainEpoch(model, opt, batches, {});
   }
-  // --executor (via HWP_EXEC) picks the engine the serving section
-  // runs; the executor-comparison section always measures both.
-  const fpga::ExecMode exec =
-      fpga::ResolveExecMode(std::nullopt, fpga::ExecMode::kFast);
-
   fpga::CompiledModelOptions copts;
   copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
   copts.executor = fpga::ExecMode::kSimulate;
@@ -173,10 +187,18 @@ int main(int argc, char** argv) {
                                      .status()
                                      .ToString()
                                      .c_str());
-    return 1;
+    return finish(1);
   }
-  fpga::CompiledTinyR2Plus1d& compiled =
-      exec == fpga::ExecMode::kFast ? *fast_model : *sim_model;
+  using SharedModel = std::shared_ptr<const fpga::CompiledTinyR2Plus1d>;
+  const auto share = [](StatusOr<fpga::CompiledTinyR2Plus1d>& m) {
+    return std::make_shared<const fpga::CompiledTinyR2Plus1d>(
+        std::move(m).value());
+  };
+  const SharedModel sim = share(sim_model);
+  const SharedModel fast = share(fast_model);
+  const SharedModel pruned = share(pruned_model);
+  // The serving section shares one compiled model across every lane.
+  const SharedModel& compiled = exec == fpga::ExecMode::kFast ? fast : sim;
 
   std::vector<TensorF> clips;
   for (int i = 0; i < num_clips; ++i) {
@@ -185,21 +207,21 @@ int main(int argc, char** argv) {
 
   // Executor comparison: serial Infer loops over the same clips.
   const auto time_serial = [&clips, num_clips](
-                               fpga::CompiledTinyR2Plus1d& m) {
+                               const fpga::CompiledTinyR2Plus1d& m) {
     const double t0 = obs::NowUs();
     for (const TensorF& clip : clips) (void)m.Infer(clip);
     return 1e6 * num_clips / (obs::NowUs() - t0);
   };
-  const double sim_cps = time_serial(*sim_model);
-  const double fast_cps = time_serial(*fast_model);
-  const double pruned_cps = time_serial(*pruned_model);
+  const double sim_cps = time_serial(*sim);
+  const double fast_cps = time_serial(*fast);
+  const double pruned_cps = time_serial(*pruned);
   const double fast_vs_sim = fast_cps / sim_cps;
   const double pruned_vs_dense = pruned_cps / fast_cps;
 
   // Serial baseline for the serving section: one replica, no queue, no
   // batching, same executor the server uses.
   const double serial_t0 = obs::NowUs();
-  for (const TensorF& clip : clips) (void)compiled.Infer(clip);
+  for (const TensorF& clip : clips) (void)compiled->Infer(clip);
   const double serial_us = obs::NowUs() - serial_t0;
   const double serial_cps = 1e6 * num_clips / serial_us;
   const double serial_mean_ms = serial_us / num_clips / 1000.0;
@@ -236,11 +258,11 @@ int main(int argc, char** argv) {
       }
     }
     const double wall_us = obs::NowUs() - t0;
-    if (lost != 0) return 1;
+    if (lost != 0) return finish(1);
     if (!faults_on && transient != 0) {
       std::fprintf(stderr, "replicas=%d: %lld requests failed\n", replicas,
                    transient);
-      return 1;
+      return finish(1);
     }
     const serve::ServerStats stats = server.Stats();
     Row row;
@@ -346,5 +368,5 @@ int main(int argc, char** argv) {
   }
   os << "  ]\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
-  return 0;
+  return finish(0);
 }

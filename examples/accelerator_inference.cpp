@@ -14,9 +14,11 @@
 // Observability: --trace-out trace.json --metrics-out metrics.jsonl
 // (serve.* counters/histograms join the sim.*/exec.* ones), --seed N,
 // --threads N, --executor sim|fast (fast = pre-packed compiled
-// executor, the serving default; sim = step-by-step cycle simulator).
+// executor, the default; sim = step-by-step cycle simulator; anything
+// else exits 2).
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "common/logging.h"
 #include "fpga/compiled_executor.h"
@@ -31,6 +33,15 @@ int main(int argc, char** argv) {
   const obs::CliOptions obs_opts = obs::InitFromArgs(argc, argv);
   SetLogLevel(LogLevel::Warning);
   const uint64_t seed = obs_opts.seed.value_or(19);
+  const std::optional<fpga::ExecMode> exec_or =
+      obs_opts.executor.empty() ? fpga::ExecMode::kFast
+                                : fpga::ParseExecMode(obs_opts.executor);
+  if (!exec_or.has_value()) {
+    std::fprintf(stderr, "invalid --executor \"%s\" (want sim|fast)\n",
+                 obs_opts.executor.c_str());
+    return 2;
+  }
+  const fpga::ExecMode exec = *exec_or;
 
   data::SyntheticVideoConfig dcfg;
   dcfg.num_classes = 4;
@@ -53,6 +64,7 @@ int main(int argc, char** argv) {
                        .AdmmEpochsPerRound(2)
                        .RetrainEpochs(4)
                        .Tiling(fpga::Tiling{4, 4, 2, 5, 5})
+                       .Executor(exec)
                        .Replicas(2)
                        .MaxBatch(8)
                        .MaxDelayUs(1000)
@@ -77,6 +89,7 @@ int main(int argc, char** argv) {
                       .FromCheckpoint(ckpt)
                       .EvalData(0)
                       .Tiling(fpga::Tiling{4, 4, 2, 5, 5})
+                      .Executor(exec)
                       .Replicas(2)
                       .MaxBatch(8)
                       .MaxDelayUs(1000)
@@ -172,13 +185,11 @@ int main(int argc, char** argv) {
 
   // The metrics registry was fed by the same engine runs that filled
   // the per-request CompiledRunStats, so the totals must agree exactly
-  // — even with the runs fanned out across replicas. Sessions pick
-  // their executor at Build time (fast by default, --executor=sim to
-  // force the cycle simulator); the simulator counts under sim.*, the
-  // compiled executor under exec.*, and their sum is engine-agnostic.
+  // — even with the runs fanned out across lanes. Both sessions run
+  // the --executor engine (fast by default); the simulator counts
+  // under sim.*, the compiled executor under exec.*, and their sum is
+  // engine-agnostic.
   const auto& reg = obs::MetricsRegistry::Get();
-  const fpga::ExecMode exec =
-      fpga::ResolveExecMode(std::nullopt, fpga::ExecMode::kFast);
   const long long stats_loaded = dense_loaded + accel_loaded;
   const long long stats_skipped = dense_skipped + accel_skipped;
   const long long meter_loaded =

@@ -1,10 +1,9 @@
 #include "fpga/compiled_executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.h"
-#include "common/logging.h"
+#include "fpga/conv_call.h"
 #include "fpga/perf_model.h"
 #include "kernels/qgemm_tile.h"
 #include "kernels/scratch.h"
@@ -16,10 +15,6 @@
 namespace hwp3d::fpga {
 
 namespace {
-
-int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
-  return (in - k) / s + 1;
-}
 
 // Accumulator strips are post-processed in cache-resident column
 // blocks: a full [Tm][kColBlock] strip of wide accumulators is 8 KiB at
@@ -36,20 +31,6 @@ std::optional<ExecMode> ParseExecMode(std::string_view name) {
   if (name == "sim" || name == "simulate") return ExecMode::kSimulate;
   if (name == "fast") return ExecMode::kFast;
   return std::nullopt;
-}
-
-ExecMode ResolveExecMode(std::optional<ExecMode> requested,
-                         ExecMode fallback) {
-  if (requested.has_value()) return *requested;
-  if (const char* env = std::getenv("HWP_EXEC")) {
-    if (const std::optional<ExecMode> parsed = ParseExecMode(env)) {
-      return *parsed;
-    }
-    HWP_LOG(Warning) << "ignoring invalid HWP_EXEC value \"" << env
-                     << "\" (want sim|fast); using "
-                     << ExecModeName(fallback);
-  }
-  return fallback;
 }
 
 PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
@@ -102,21 +83,8 @@ PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
   }
 }
 
-TiledConvStats PackedConvLayer::ModelStats(std::array<int64_t, 3> stride,
-                                           int64_t D, int64_t R,
-                                           int64_t C) const {
-  models::ConvLayerSpec spec;
-  spec.M = M_;
-  spec.N = N_;
-  spec.Kd = Kd_;
-  spec.Kr = Kr_;
-  spec.Kc = Kc_;
-  spec.Sd = stride[0];
-  spec.Sr = stride[1];
-  spec.Sc = stride[2];
-  spec.D = D;
-  spec.R = R;
-  spec.C = C;
+TiledConvStats PackedConvLayer::ModelStats(
+    const models::ConvLayerSpec& spec) const {
   const PerfModel pm(t_, p_);
   const LayerLatency lat =
       pm.LayerCycles(spec, mask_.has_value() ? &*mask_ : nullptr);
@@ -129,7 +97,8 @@ TiledConvStats PackedConvLayer::ModelStats(std::array<int64_t, 3> stride,
   // The simulator counts one MAC per (enabled block element, kernel
   // element, output element); spatial tiles partition D×R×C exactly, so
   // the count factorizes over the surviving-tile channel area.
-  stats.macs_executed = sum_mn_ * Kd_ * Kr_ * Kc_ * D * R * C;
+  stats.macs_executed =
+      sum_mn_ * Kd_ * Kr_ * Kc_ * spec.D * spec.R * spec.C;
   return stats;
 }
 
@@ -142,27 +111,11 @@ TiledConvResult PackedConvLayer::Run(const TensorQ& input,
   if (span.active() && !label.empty()) {
     span.SetName("exec/" + std::string(label));
   }
-  HWP_SHAPE_CHECK_MSG(input.rank() == 4, "input must be rank-4 [N][D][R][C]");
-  HWP_SHAPE_CHECK_MSG(input.dim(0) == N_, "input channel mismatch: "
-                                              << input.dim(0) << " vs " << N_);
+  const models::ConvLayerSpec spec =
+      CheckConvCall({M_, N_, Kd_, Kr_, Kc_}, input, stride, post);
   const auto [Sd, Sr, Sc] = stride;
   const int64_t Di = input.dim(1), Ri = input.dim(2), Ci = input.dim(3);
-  const int64_t D = OutExtent(Di, Kd_, Sd);
-  const int64_t R = OutExtent(Ri, Kr_, Sr);
-  const int64_t C = OutExtent(Ci, Kc_, Sc);
-  HWP_SHAPE_CHECK_MSG(D > 0 && R > 0 && C > 0, "empty output");
-  if (post.has_affine) {
-    HWP_SHAPE_CHECK_MSG(post.scale.numel() == M_ && post.shift.numel() == M_,
-                        "affine params must be [M]");
-  }
-  if (post.shortcut != nullptr) {
-    HWP_SHAPE_CHECK_MSG(post.shortcut->rank() == 4 &&
-                            post.shortcut->dim(0) == M_ &&
-                            post.shortcut->dim(1) == D &&
-                            post.shortcut->dim(2) == R &&
-                            post.shortcut->dim(3) == C,
-                        "shortcut shape mismatch");
-  }
+  const int64_t D = spec.D, R = spec.R, C = spec.C;
 
   TiledConvResult result;
   result.output = TensorQ(Shape{M_, D, R, C});
@@ -231,7 +184,7 @@ TiledConvResult PackedConvLayer::Run(const TensorQ& input,
 
   // Timing split from compute: the cycle accounting comes from the
   // analytic model + mask counts, not from walking the loop nest.
-  result.stats = ModelStats(stride, D, R, C);
+  result.stats = ModelStats(spec);
 
   const TiledConvStats& s = result.stats;
   if (span.active()) {

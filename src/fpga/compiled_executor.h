@@ -59,16 +59,9 @@ const char* ExecModeName(ExecMode mode);
 // "sim"/"simulate" -> kSimulate, "fast" -> kFast; nullopt otherwise.
 std::optional<ExecMode> ParseExecMode(std::string_view name);
 
-// Executor selection: an explicit request wins, else the HWP_EXEC
-// environment variable (sim|fast; invalid values warn and are
-// ignored), else `fallback`. Serving defaults to kFast, direct
-// CompiledTinyR2Plus1d users (DSE, ablation benches) to kSimulate.
-ExecMode ResolveExecMode(std::optional<ExecMode> requested,
-                         ExecMode fallback);
-
 // One conv layer's weights packed for fast execution (see file
 // comment). Immutable after construction; Run is const and safe to
-// call concurrently, so serving replicas share one PackedConvLayer.
+// call concurrently, so serving lanes share one PackedConvLayer.
 class PackedConvLayer {
  public:
   // weights: [M][N][Kd][Kr][Kc] quantized. `mask` (optional) must match
@@ -101,9 +94,8 @@ class PackedConvLayer {
     int64_t w_offset = 0; // into wdata_, layout [tn][kd][kr][kc][tm]
   };
 
-  // Analytic stats for one run on a D×R×C output (PerfModel + mask).
-  TiledConvStats ModelStats(std::array<int64_t, 3> stride, int64_t D,
-                            int64_t R, int64_t C) const;
+  // Analytic stats for one run of `spec` (PerfModel + mask).
+  TiledConvStats ModelStats(const models::ConvLayerSpec& spec) const;
 
   Tiling t_;
   Ports p_;

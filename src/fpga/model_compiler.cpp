@@ -1,5 +1,7 @@
 #include "fpga/model_compiler.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/strings.h"
 #include "obs/trace.h"
@@ -50,116 +52,63 @@ StatusOr<CompiledTinyR2Plus1d> CompiledTinyR2Plus1d::Compile(
           (long long)options.tiling.Tn));
     }
   }
+
+  CompiledTinyR2Plus1d compiled(options.executor, options.tiling,
+                                options.ports);
+  std::vector<Stage>& plan = compiled.plan_;
+  // Appends one engine call on activation `input` and returns the index
+  // of its output activation.
+  const auto add = [&](nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
+                       int input, int shortcut = -1) {
+    Stage stage;
+    stage.name = conv.name();
+    stage.weights = Quantize(conv.weight().value);
+    stage.stride = conv.config().stride;
+    stage.padding = conv.config().padding;
+    stage.post = FoldBn(bn, relu);
+    stage.input = input;
+    stage.shortcut = shortcut;
+    // Only PrunableConvs() carry masks; the stem and the projection
+    // shortcuts run dense.
+    const auto it = std::find(prunable.begin(), prunable.end(), &conv);
+    const core::BlockMask* mask =
+        options.masks.empty() || it == prunable.end()
+            ? nullptr
+            : &options.masks[static_cast<size_t>(it - prunable.begin())];
+    if (options.executor == ExecMode::kFast) {
+      stage.packed.emplace(stage.weights, options.tiling, options.ports,
+                           mask);
+    } else if (mask != nullptr) {
+      stage.mask = *mask;
+    }
+    plan.push_back(std::move(stage));
+    return static_cast<int>(plan.size());
+  };
+  // One (2+1)D pair: spatial (BN-mid + ReLU folded) then temporal.
+  const auto add_pair = [&](nn::Conv2Plus1d& pair, nn::BatchNorm3d& bn,
+                            int input, int shortcut = -1) {
+    const int mid = add(pair.spatial(), &pair.bn_mid(), true, input);
+    return add(pair.temporal(), &bn, true, mid, shortcut);
+  };
   try {
-    return CompiledTinyR2Plus1d(model, std::move(options));
+    int x = add_pair(model.stem(), model.stem_bn(), 0);
+    for (nn::ResidualBlock* rb : {&model.stage1(), &model.stage2()}) {
+      const int shortcut =
+          rb->has_projection()
+              ? add(*rb->shortcut_conv(), rb->shortcut_bn(), false, x)
+              : x;
+      const int h = add_pair(rb->conv1(), rb->bn1(), x);
+      // bn2's affine is applied before the shortcut add + final ReLU.
+      x = add_pair(rb->conv2(), rb->bn2(), h, shortcut);
+    }
   } catch (const Error& e) {
-    // Anything the pre-validation above missed is a library bug, but
+    // Anything the validation above missed is a library bug, but
     // surface it as a Status rather than tearing the server down.
     return InternalError(StrFormat("model compilation failed: %s", e.what()));
   }
-}
-
-CompiledTinyR2Plus1d::ConvStage CompiledTinyR2Plus1d::MakeStage(
-    nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
-    const core::BlockMask* mask) const {
-  ConvStage stage;
-  stage.name = conv.name();
-  stage.weights = Quantize(conv.weight().value);
-  stage.stride = conv.config().stride;
-  stage.padding = conv.config().padding;
-  stage.post = FoldBn(bn, relu);
-  if (mask != nullptr) {
-    core::BlockPartition part(conv.weight().value.shape(),
-                              options_.tiling.block());
-    HWP_CHECK_MSG(mask->blocks_m == part.blocks_m() &&
-                      mask->blocks_n == part.blocks_n(),
-                  conv.name() << ": mask grid does not match tiling "
-                              << options_.tiling.ToString());
-    stage.mask = *mask;
-  }
-  if (exec_ == ExecMode::kFast) {
-    stage.packed = std::make_shared<PackedConvLayer>(
-        stage.weights, options_.tiling, options_.ports,
-        stage.mask.has_value() ? &*stage.mask : nullptr);
-  }
-  return stage;
-}
-
-TensorQ CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
-                                       const TensorQ& x,
-                                       const TensorQ* shortcut,
-                                       CompiledRunStats* stats) const {
-  const TensorQ padded = PadInput(x, stage.padding);
-  PostOps post = stage.post;
-  post.shortcut = shortcut;
-  const TiledConvResult r =
-      exec_ == ExecMode::kFast
-          ? stage.packed->Run(padded, stage.stride, post, stage.name)
-          : sim_.Run(stage.weights, padded, stage.stride,
-                     stage.mask.has_value() ? &*stage.mask : nullptr, post,
-                     stage.name);
-  if (stats != nullptr) {
-    stats->modeled_cycles += r.stats.modeled_cycles;
-    stats->blocks_loaded += r.stats.blocks_loaded;
-    stats->blocks_skipped += r.stats.blocks_skipped;
-    stats->macs_executed += r.stats.macs_executed;
-  }
-  return r.output;
-}
-
-TensorQ CompiledTinyR2Plus1d::RunConv2Plus1d(const ConvStage& spatial,
-                                             const ConvStage& temporal,
-                                             const TensorQ& x,
-                                             const TensorQ* shortcut,
-                                             CompiledRunStats* stats) const {
-  const TensorQ mid = RunStage(spatial, x, nullptr, stats);
-  return RunStage(temporal, mid, shortcut, stats);
-}
-
-CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
-                                           CompiledModelOptions options)
-    : options_(std::move(options)),
-      exec_(ResolveExecMode(options_.executor, ExecMode::kSimulate)),
-      sim_(options_.tiling, options_.ports) {
-  const auto prunable = model.PrunableConvs();
-  HWP_CHECK_MSG(options_.masks.empty() ||
-                    options_.masks.size() == prunable.size(),
-                "mask count " << options_.masks.size() << " vs "
-                              << prunable.size() << " prunable convs");
-  const auto mask_for = [&](size_t i) -> const core::BlockMask* {
-    return options_.masks.empty() ? nullptr : &options_.masks[i];
-  };
-
-  // Stem: spatial (+bn_mid+relu) -> temporal (+stem_bn+relu). Unpruned.
-  stem_spatial_ =
-      MakeStage(model.stem().spatial(), &model.stem().bn_mid(), true, nullptr);
-  stem_temporal_ =
-      MakeStage(model.stem().temporal(), &model.stem_bn(), true, nullptr);
-
-  // Residual stages: prunable conv order is
-  // [c1.spatial, c1.temporal, c2.spatial, c2.temporal] per stage.
-  const auto build_block = [&](nn::ResidualBlock& rb, size_t base) {
-    Block b;
-    b.c1_spatial = MakeStage(rb.conv1().spatial(), &rb.conv1().bn_mid(), true,
-                             mask_for(base + 0));
-    b.c1_temporal =
-        MakeStage(rb.conv1().temporal(), &rb.bn1(), true, mask_for(base + 1));
-    b.c2_spatial = MakeStage(rb.conv2().spatial(), &rb.conv2().bn_mid(), true,
-                             mask_for(base + 2));
-    // bn2's affine is applied before the shortcut add + final ReLU.
-    b.c2_temporal =
-        MakeStage(rb.conv2().temporal(), &rb.bn2(), true, mask_for(base + 3));
-    if (rb.has_projection()) {
-      b.shortcut =
-          MakeStage(*rb.shortcut_conv(), rb.shortcut_bn(), false, nullptr);
-    }
-    return b;
-  };
-  stage1_ = build_block(model.stage1(), 0);
-  stage2_ = build_block(model.stage2(), 4);
-
-  fc_weight_ = model.fc().weight().value;
-  fc_bias_ = model.fc().bias().value;
+  compiled.fc_weight_ = model.fc().weight().value;
+  compiled.fc_bias_ = model.fc().bias().value;
+  return compiled;
 }
 
 TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
@@ -168,24 +117,28 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
   HWP_SHAPE_CHECK_MSG(clip.rank() == 4,
                       "Infer expects a [C][D][H][W] clip, got "
                           << clip.shape().ToString());
-  TensorQ x = Quantize(clip);
-
-  // Stem.
-  x = RunConv2Plus1d(stem_spatial_, stem_temporal_, x, nullptr, stats);
-
-  // Residual stages.
-  const auto run_block = [&](const Block& b, const TensorQ& in) {
-    const TensorQ shortcut =
-        b.shortcut.has_value() ? RunStage(*b.shortcut, in, nullptr, stats)
-                               : in;
-    TensorQ h = RunConv2Plus1d(b.c1_spatial, b.c1_temporal, in, nullptr,
-                               stats);
-    // conv2's temporal stage applies bn2, adds the shortcut tile and the
-    // final ReLU inside the post-processing unit.
-    return RunConv2Plus1d(b.c2_spatial, b.c2_temporal, h, &shortcut, stats);
-  };
-  x = run_block(stage1_, x);
-  x = run_block(stage2_, x);
+  std::vector<TensorQ> acts;
+  acts.reserve(plan_.size() + 1);
+  acts.push_back(Quantize(clip));
+  for (const Stage& stage : plan_) {
+    const TensorQ padded = PadInput(acts[stage.input], stage.padding);
+    PostOps post = stage.post;
+    post.shortcut = stage.shortcut >= 0 ? &acts[stage.shortcut] : nullptr;
+    TiledConvResult r =
+        stage.packed.has_value()
+            ? stage.packed->Run(padded, stage.stride, post, stage.name)
+            : sim_.Run(stage.weights, padded, stage.stride,
+                       stage.mask.has_value() ? &*stage.mask : nullptr, post,
+                       stage.name);
+    if (stats != nullptr) {
+      stats->modeled_cycles += r.stats.modeled_cycles;
+      stats->blocks_loaded += r.stats.blocks_loaded;
+      stats->blocks_skipped += r.stats.blocks_skipped;
+      stats->macs_executed += r.stats.macs_executed;
+    }
+    acts.push_back(std::move(r.output));
+  }
+  const TensorQ& x = acts.back();
 
   // Host side: global average pool + FC, in float (as in the paper the
   // FC layer contributes negligibly and runs on the PS).

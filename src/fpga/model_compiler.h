@@ -6,10 +6,13 @@
 //
 // This is the software counterpart of the paper's deployment flow:
 // ADMM-pruned network -> 16-bit fixed-point accelerator with
-// block-enable, FC head on the host.
+// block-enable, FC head on the host. As in Algorithm 2, the network
+// becomes a flat plan of calls to one tiled engine, each call with its
+// own weights, post-ops and block-enable mask; both executors walk the
+// same plan.
 #pragma once
 
-#include <memory>
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,10 +32,9 @@ struct CompiledModelOptions {
   // TinyR2Plus1d::PrunableConvs(); empty = dense execution.
   std::vector<core::BlockMask> masks;
   // Which engine runs the conv stages; both are bitwise identical
-  // (asserted by compiled_executor_test). Unset resolves via the
-  // HWP_EXEC environment variable, else defaults to kSimulate here —
-  // serving (InferenceSession / bench_serve) resolves to kFast.
-  std::optional<ExecMode> executor;
+  // (asserted by compiled_executor_test). kSimulate is the
+  // cycle-stepping oracle.
+  ExecMode executor = ExecMode::kFast;
 };
 
 struct CompiledRunStats {
@@ -45,20 +47,14 @@ struct CompiledRunStats {
 class CompiledTinyR2Plus1d {
  public:
   // Validates `options` against the model (mask count and per-conv
-  // block grids under tiling.block()) and compiles; the preferred entry
-  // point — returns an actionable Status instead of throwing. The
-  // compiled model snapshots weights and BN statistics, so it is
-  // self-contained, copyable (serving replicas copy it, one TiledConvSim
-  // each) and immutable: Infer/Classify are const and safe to call from
-  // many threads concurrently.
+  // block grids under tiling.block()) and compiles it into a stage
+  // plan; returns an actionable Status instead of throwing. The
+  // compiled model snapshots weights and (eval-mode) BN statistics, so
+  // it is self-contained and immutable: Infer/Classify are const and
+  // safe to call from many threads at once, which is how every serving
+  // lane shares one model.
   static StatusOr<CompiledTinyR2Plus1d> Compile(models::TinyR2Plus1d& model,
                                                 CompiledModelOptions options);
-
-  // Snapshots the model's weights and (eval-mode) BN statistics; the
-  // model must already be trained. Throws if masks are provided but do
-  // not match the prunable convs' block grids under tiling.block().
-  CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
-                       CompiledModelOptions options);
 
   // Runs one clip [C][D][H][W] (float, host side) through the simulated
   // accelerator and the host FC; returns the logits.
@@ -67,46 +63,36 @@ class CompiledTinyR2Plus1d {
   // Argmax convenience.
   int Classify(const TensorF& clip, CompiledRunStats* stats = nullptr) const;
 
-  // The engine Infer dispatches to (resolved at compile time from
-  // options.executor / HWP_EXEC, default kSimulate).
+  // The engine Infer dispatches to (options.executor).
   ExecMode executor() const { return exec_; }
 
+  // Channels C a clip must carry: the first stage's input channels.
+  int64_t input_channels() const { return plan_.front().weights.dim(1); }
+
  private:
-  struct ConvStage {
-    std::string name;                 // conv layer name, labels traces/metrics
-    TensorQ weights;                  // [M][N][Kd][Kr][Kc]
+  // One call of the tiled engine.
+  struct Stage {
+    std::string name;  // conv layer name, labels traces/metrics
+    TensorQ weights;   // [M][N][Kd][Kr][Kc]
     std::array<int64_t, 3> stride;
     std::array<int64_t, 3> padding;
+    PostOps post;  // affine/relu; the shortcut is bound at run time
+    // Block-enable mask for the simulator (kSimulate, pruned convs) or
+    // the block-CSR packed weights for the fast path (kFast).
     std::optional<core::BlockMask> mask;
-    PostOps post;                     // affine/relu; shortcut set at runtime
-    // Block-CSR packed weights for the fast path; shared so serving
-    // replicas (copies of this model) reuse one packed stream.
-    std::shared_ptr<const PackedConvLayer> packed;
+    std::optional<PackedConvLayer> packed;
+    // Activations: 0 is the quantized clip, i+1 is stage i's output.
+    int input = 0;
+    int shortcut = -1;  // added by the post-processing unit; -1 = none
   };
 
-  // Builds a stage from a conv and the BN that follows it (null = raw).
-  ConvStage MakeStage(nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
-                      const core::BlockMask* mask) const;
-  TensorQ RunStage(const ConvStage& stage, const TensorQ& x,
-                   const TensorQ* shortcut, CompiledRunStats* stats) const;
+  CompiledTinyR2Plus1d(ExecMode exec, const Tiling& tiling,
+                       const Ports& ports)
+      : exec_(exec), sim_(tiling, ports) {}
 
-  // Runs one (2+1)D pair: spatial (BN-mid + ReLU folded) then temporal.
-  TensorQ RunConv2Plus1d(const ConvStage& spatial, const ConvStage& temporal,
-                         const TensorQ& x, const TensorQ* shortcut,
-                         CompiledRunStats* stats) const;
-
-  CompiledModelOptions options_;
-  ExecMode exec_ = ExecMode::kSimulate;
+  ExecMode exec_;
   TiledConvSim sim_;
-
-  // Stem.
-  ConvStage stem_spatial_, stem_temporal_;
-  // Stages: conv1 spatial/temporal, conv2 spatial/temporal, shortcut.
-  struct Block {
-    ConvStage c1_spatial, c1_temporal, c2_spatial, c2_temporal;
-    std::optional<ConvStage> shortcut;
-  };
-  Block stage1_, stage2_;
+  std::vector<Stage> plan_;
   // Host-side FC.
   TensorF fc_weight_;  // [out][in]
   TensorF fc_bias_;    // [out]

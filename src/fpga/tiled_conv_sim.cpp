@@ -5,20 +5,12 @@
 #include <vector>
 
 #include "common/error.h"
+#include "fpga/conv_call.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/shape.h"
 
 namespace hwp3d::fpga {
-
-namespace {
-
-// Output extent of a valid convolution.
-int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
-  return (in - k) / s + 1;
-}
-
-}  // namespace
 
 TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
                                   std::array<int64_t, 3> stride,
@@ -30,35 +22,18 @@ TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
     span.SetName("sim/" + std::string(label));
   }
   HWP_SHAPE_CHECK_MSG(weights.rank() == 5, "weights must be rank-5");
-  HWP_SHAPE_CHECK_MSG(input.rank() == 4, "input must be rank-4 [N][D][R][C]");
   const int64_t M = weights.dim(0), N = weights.dim(1);
   const int64_t Kd = weights.dim(2), Kr = weights.dim(3), Kc = weights.dim(4);
   const auto [Sd, Sr, Sc] = stride;
-  HWP_SHAPE_CHECK_MSG(input.dim(0) == N, "input channel mismatch: "
-                                             << input.dim(0) << " vs " << N);
-  const int64_t Di = input.dim(1), Ri = input.dim(2), Ci = input.dim(3);
-  const int64_t D = OutExtent(Di, Kd, Sd);
-  const int64_t R = OutExtent(Ri, Kr, Sr);
-  const int64_t C = OutExtent(Ci, Kc, Sc);
-  HWP_SHAPE_CHECK_MSG(D > 0 && R > 0 && C > 0, "empty output");
+  const models::ConvLayerSpec spec =
+      CheckConvCall({M, N, Kd, Kr, Kc}, input, stride, post);
+  const int64_t D = spec.D, R = spec.R, C = spec.C;
 
   const int64_t blocks_m = CeilDiv(M, t_.Tm);
   const int64_t blocks_n = CeilDiv(N, t_.Tn);
   if (mask != nullptr) {
     HWP_CHECK_MSG(mask->blocks_m == blocks_m && mask->blocks_n == blocks_n,
                   "block mask grid mismatch");
-  }
-  if (post.has_affine) {
-    HWP_SHAPE_CHECK_MSG(post.scale.numel() == M && post.shift.numel() == M,
-                        "affine params must be [M]");
-  }
-  if (post.shortcut != nullptr) {
-    HWP_SHAPE_CHECK_MSG(post.shortcut->rank() == 4 &&
-                            post.shortcut->dim(0) == M &&
-                            post.shortcut->dim(1) == D &&
-                            post.shortcut->dim(2) == R &&
-                            post.shortcut->dim(3) == C,
-                        "shortcut shape mismatch");
   }
 
   TiledConvResult result;
@@ -175,18 +150,6 @@ TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
   result.stats.stall.out += last_t_out;
 
   // Cross-check cycles with the analytic model on an equivalent layer.
-  models::ConvLayerSpec spec;
-  spec.M = M;
-  spec.N = N;
-  spec.Kd = Kd;
-  spec.Kr = Kr;
-  spec.Kc = Kc;
-  spec.Sd = Sd;
-  spec.Sr = Sr;
-  spec.Sc = Sc;
-  spec.D = D;
-  spec.R = R;
-  spec.C = C;
   PerfModel pm(t_, p_);
   result.stats.modeled_cycles = pm.LayerCycles(spec, mask).cycles;
 

@@ -113,9 +113,6 @@ CliOptions InitFromArgs(int& argc, char** argv) {
   if (!options.engine.empty()) {
     setenv("HWP_CONV_ENGINE", options.engine.c_str(), /*overwrite=*/1);
   }
-  if (!options.executor.empty()) {
-    setenv("HWP_EXEC", options.executor.c_str(), /*overwrite=*/1);
-  }
   return options;
 }
 

@@ -16,9 +16,10 @@
 //   --threads N      size hwp3d::ThreadPool (sets HWP_THREADS; must run
 //                    before the first ThreadPool::Get())
 //   --engine E       conv engine, naive|gemm (sets HWP_CONV_ENGINE)
-//   --executor E     compiled-model executor, sim|fast (sets HWP_EXEC;
-//                    fast = pre-packed block-CSR tiles + analytic
-//                    timing, sim = step-by-step cycle simulator)
+//   --executor E     compiled-model executor, sim|fast (consumed by the
+//                    caller, see fpga::ParseExecMode; fast = pre-packed
+//                    block-CSR tiles + analytic timing, sim =
+//                    step-by-step cycle simulator)
 //   --device D       FPGA device name, e.g. zcu102 (consumed by the
 //                    caller, see fpga::DeviceByName)
 //   --seed S         RNG seed (consumed by the caller)
@@ -35,7 +36,7 @@ struct CliOptions {
   std::string metrics_out;  // metrics JSONL path ("" = off)
   std::optional<int> threads;
   std::string engine;       // "" = keep HWP_CONV_ENGINE / default
-  std::string executor;     // "" = keep HWP_EXEC / context default
+  std::string executor;     // "" = the binary's default executor
   std::string device;       // "" = binary's default device
   std::optional<uint64_t> seed;
 };

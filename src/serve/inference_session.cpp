@@ -273,16 +273,16 @@ InferenceSession::Builder::Build() {
   copts.tiling = tiling_;
   copts.ports = ports_;
   copts.masks = session->masks_;
-  // Serving defaults to the fast executor (HWP_EXEC still overrides);
-  // .Executor(...) pins it regardless of the environment.
-  copts.executor = fpga::ResolveExecMode(executor_, fpga::ExecMode::kFast);
+  copts.executor = executor_;
   StatusOr<fpga::CompiledTinyR2Plus1d> compiled =
       fpga::CompiledTinyR2Plus1d::Compile(model, std::move(copts));
   if (!compiled.ok()) return compiled.status();
 
   // 4. Serve.
-  session->server_ =
-      std::make_unique<serve::InferenceServer>(*compiled, server_);
+  session->server_ = std::make_unique<serve::InferenceServer>(
+      std::make_shared<const fpga::CompiledTinyR2Plus1d>(
+          std::move(compiled).value()),
+      server_);
   return StatusOr<std::unique_ptr<InferenceSession>>(std::move(session));
 }
 

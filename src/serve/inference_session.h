@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,9 +71,8 @@ class InferenceSession {
     Builder& Tiling(const fpga::Tiling& tiling);
     Builder& Ports(const fpga::Ports& ports);
     // Conv-stage engine: kFast (pre-packed block-CSR tiles + analytic
-    // timing, the serving default) or kSimulate (step-by-step cycle
-    // simulator). Unset resolves HWP_EXEC, then defaults to kFast —
-    // both are bitwise identical, so this only trades wall-clock
+    // timing, the default) or kSimulate (step-by-step cycle simulator).
+    // Both are bitwise identical, so this only trades wall-clock
     // against step-level cycle attribution.
     Builder& Executor(fpga::ExecMode mode);
 
@@ -94,7 +92,7 @@ class InferenceSession {
     Builder& WatchdogTimeoutUs(int64_t us);
 
     // Validates the configuration, builds the model (train or load),
-    // prunes, compiles, and starts the serving replicas.
+    // prunes, compiles, and starts serving the model from its lanes.
     StatusOr<std::unique_ptr<InferenceSession>> Build();
 
    private:
@@ -118,7 +116,7 @@ class InferenceSession {
     bool zero_block_masks_ = false;
     fpga::Tiling tiling_{4, 4, 2, 4, 4};
     fpga::Ports ports_;
-    std::optional<fpga::ExecMode> executor_;
+    fpga::ExecMode executor_ = fpga::ExecMode::kFast;
     serve::ServerConfig server_;
   };
 
@@ -128,7 +126,7 @@ class InferenceSession {
   InferenceSession& operator=(const InferenceSession&) = delete;
 
   // --- serving --------------------------------------------------------
-  // Runs one [C][D][H][W] clip through the accelerator replicas.
+  // Runs one [C][D][H][W] clip through the accelerator.
   // Errors: kResourceExhausted (queue full), kDeadlineExceeded,
   // kUnavailable (after Drain), kInvalidArgument (bad clip shape).
   StatusOr<serve::InferenceResult> Submit(const TensorF& clip,

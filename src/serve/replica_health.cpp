@@ -54,14 +54,4 @@ int ReplicaHealth::quarantined_count() const {
   return static_cast<int>(states_.size()) - healthy_;
 }
 
-void ReplicaHealth::Reinstate(int replica) {
-  std::lock_guard<std::mutex> lk(mu_);
-  State& s = states_[static_cast<size_t>(replica)];
-  s.consecutive_failures = 0;
-  if (s.quarantined) {
-    s.quarantined = false;
-    ++healthy_;
-  }
-}
-
 }  // namespace hwp3d::serve

@@ -69,8 +69,7 @@ constexpr const char* kFaultReplicaInfer = "serve.replica_infer";
 constexpr const char* kFaultReplicaWedge = "serve.replica_wedge";
 constexpr const char* kFaultQueueAdmit = "serve.queue_admit";
 
-}  // namespace
-
+// Sorted-copy percentile (q in [0,1]).
 double PercentileUs(std::vector<double> latencies_us, double q) {
   if (latencies_us.empty()) return 0.0;
   std::sort(latencies_us.begin(), latencies_us.end());
@@ -81,13 +80,25 @@ double PercentileUs(std::vector<double> latencies_us, double q) {
   return latencies_us[lo] * (1.0 - frac) + latencies_us[hi] * frac;
 }
 
-InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
-                                 ServerConfig config)
+// A future already resolved with `status`.
+std::future<StatusOr<InferenceResult>> Resolved(Status status) {
+  std::promise<StatusOr<InferenceResult>> promise;
+  promise.set_value(std::move(status));
+  return promise.get_future();
+}
+
+}  // namespace
+
+InferenceServer::InferenceServer(
+    std::shared_ptr<const fpga::CompiledTinyR2Plus1d> model,
+    ServerConfig config)
     : config_(config),
       retry_(config.retry),
+      model_(std::move(model)),
       health_(std::max(config.replicas, 1),
               std::max(config.quarantine_after, 1)),
       queue_(config.queue_capacity) {
+  HWP_CHECK_MSG(model_ != nullptr, "InferenceServer needs a model");
   HWP_CHECK_MSG(config_.replicas >= 1,
                 "InferenceServer needs at least one replica");
   HWP_CHECK_MSG(config_.max_batch >= 1, "max_batch must be >= 1");
@@ -98,10 +109,8 @@ InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
                 "retry.max_attempts must be >= 1");
   HWP_CHECK_MSG(config_.watchdog_timeout_us >= 0,
                 "watchdog_timeout_us must be >= 0 (0 disables)");
-  replicas_.reserve(static_cast<size_t>(config_.replicas));
   replica_fault_points_.reserve(static_cast<size_t>(config_.replicas));
   for (int r = 0; r < config_.replicas; ++r) {
-    replicas_.push_back(model);
     replica_fault_points_.push_back(
         StrFormat("%s.r%d", kFaultReplicaInfer, r));
   }
@@ -112,7 +121,7 @@ InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
   ServeMetrics::Get().healthy_replicas.Set(
       static_cast<double>(config_.replicas));
   ServeMetrics::Get().executor.Set(
-      model.executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
+      model_->executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
   if (config_.watchdog_timeout_us > 0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
@@ -124,18 +133,28 @@ InferenceServer::~InferenceServer() { Shutdown(); }
 std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
     TensorF clip, int64_t deadline_us) {
   auto& m = ServeMetrics::Get();
-  if (FaultInjector::Get().Trip(kFaultQueueAdmit)) {
-    m.faults_injected.Add(1);
+  const auto reject = [&](Status status) {
     m.rejected.Add(1);
     {
       std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.faults_injected;
       ++totals_.rejected;
     }
-    std::promise<StatusOr<InferenceResult>> failed;
-    failed.set_value(UnavailableError(
-        StrFormat("injected fault: %s", kFaultQueueAdmit)));
-    return failed.get_future();
+    return Resolved(std::move(status));
+  };
+  const int64_t channels = model_->input_channels();
+  if (clip.rank() != 4 || clip.dim(0) != channels || clip.numel() == 0) {
+    return reject(InvalidArgumentError(StrFormat(
+        "clip %s is not a non-empty [C][D][H][W] clip with C = %lld",
+        clip.shape().ToString().c_str(), static_cast<long long>(channels))));
+  }
+  if (FaultInjector::Get().Trip(kFaultQueueAdmit)) {
+    m.faults_injected.Add(1);
+    {
+      std::lock_guard<std::mutex> lk(stats_mu_);
+      ++totals_.faults_injected;
+    }
+    return reject(
+        UnavailableError(StrFormat("injected fault: %s", kFaultQueueAdmit)));
   }
   Request req;
   req.clip = std::move(clip);
@@ -148,16 +167,9 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
 
   Status admitted = queue_.Push(std::move(req));
   if (!admitted.ok()) {
-    m.rejected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.rejected;
-    }
     // The request object (with its promise) died with the failed Push;
     // report through a fresh promise for a uniform future-based path.
-    std::promise<StatusOr<InferenceResult>> failed;
-    failed.set_value(std::move(admitted));
-    return failed.get_future();
+    return reject(std::move(admitted));
   }
   m.accepted.Add(1);
   m.queue_depth.Set(static_cast<double>(queue_.size()));
@@ -268,10 +280,10 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       result.batch_size = batch_size;
       result.replica = replica;
       try {
-        result.logits = replicas_[static_cast<size_t>(replica)].Infer(
-            req.clip, &result.stats);
+        result.logits = model_->Infer(req.clip, &result.stats);
       } catch (const Error& e) {
-        // A malformed request is a terminal per-request error, never a
+        // Admission rejects malformed clips; this is the safety net. A
+        // malformed request is a terminal per-request error, never a
         // replica fault: no retry, no health penalty, and it must not
         // take the dispatcher (and every queued request) down.
         if (pending.Claim()) {
@@ -362,8 +374,7 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
   }
 
   // Re-stripe over the healthy replica set: with lanes H[0..L), lane k
-  // serves items k, k+L, ... Each healthy replica is exclusive to one
-  // lane, so no two threads share a TiledConvSim.
+  // serves items k, k+L, ... All lanes share the one const model.
   const std::vector<int> lanes = health_.HealthySet();
   const int L = std::min<int>(static_cast<int>(lanes.size()),
                               static_cast<int>(live.size()));

@@ -5,14 +5,15 @@
 //                                                      │
 //                                        ThreadPool::For over healthy set
 //                                          lane 0 │ lane 1 │ ...   ◀─┐
-//                                          (one TiledConvSim each)   │
+//                                   (all lanes share one immutable   │
+//                                    CompiledTinyR2Plus1d)           │
 //                                                 watchdog thread ───┘
 //
 // One dispatcher thread pops batches (flushing at max_batch or
 // max_delay_us) and fans each batch out across the *healthy* replicas
-// of the compiled model on the process-wide hwp3d::ThreadPool: with L
-// healthy replicas, lane k runs batch items k, k+L, k+2L, ... Every
-// replica is a copy of the same immutable CompiledTinyR2Plus1d, so
+// (lanes) on the process-wide hwp3d::ThreadPool: with L healthy lanes,
+// lane k runs batch items k, k+L, k+2L, ... Every lane calls the same
+// immutable compiled model, whose Infer is const and thread-safe, so
 // predictions are bitwise identical for any replica count — which is
 // what makes quarantine-and-re-stripe a safe degradation.
 //
@@ -34,7 +35,9 @@
 //    immediately before the replica call, so a request that expires
 //    mid-batch returns kDeadlineExceeded instead of a stale OK.
 //
-// Admission control: the bounded queue rejects with kResourceExhausted
+// Admission control: a clip that is not [C][D][H][W] with the model's
+// input channels and non-zero extents is rejected with
+// kInvalidArgument; the bounded queue rejects with kResourceExhausted
 // instead of blocking producers; the fault point `serve.queue_admit`
 // can inject admission failures. Shutdown(drain) stops admission and
 // completes every already-accepted request.
@@ -63,7 +66,7 @@
 namespace hwp3d::serve {
 
 struct ServerConfig {
-  int replicas = 1;
+  int replicas = 1;  // serving lanes over the one shared model
   int max_batch = 8;
   int64_t max_delay_us = 2000;    // flush timer from oldest request
   size_t queue_capacity = 64;
@@ -75,7 +78,7 @@ struct ServerConfig {
 
 struct ServerStats {
   int64_t accepted = 0;
-  int64_t rejected = 0;           // admission failures (queue full)
+  int64_t rejected = 0;           // admission failures (bad clip, queue full)
   int64_t deadline_exceeded = 0;
   int64_t completed = 0;
   int64_t batches = 0;
@@ -95,8 +98,9 @@ struct ServerStats {
 
 class InferenceServer {
  public:
-  // Takes its own replicas: `config.replicas` copies of `model`.
-  InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
+  // Serves `model` from `config.replicas` lanes; the model is shared,
+  // never copied.
+  InferenceServer(std::shared_ptr<const fpga::CompiledTinyR2Plus1d> model,
                   ServerConfig config);
   ~InferenceServer();  // graceful drain
 
@@ -153,7 +157,7 @@ class InferenceServer {
 
   ServerConfig config_;
   RetryPolicy retry_;
-  std::vector<fpga::CompiledTinyR2Plus1d> replicas_;
+  std::shared_ptr<const fpga::CompiledTinyR2Plus1d> model_;
   std::vector<std::string> replica_fault_points_;  // serve.replica_infer.r<k>
   ReplicaHealth health_;
   RequestQueue queue_;
@@ -171,8 +175,5 @@ class InferenceServer {
   ServerStats totals_;
   std::vector<double> latencies_us_;
 };
-
-// Sorted-copy percentile helper (q in [0,1]); exposed for the bench.
-double PercentileUs(std::vector<double> latencies_us, double q);
 
 }  // namespace hwp3d::serve

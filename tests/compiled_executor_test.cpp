@@ -5,7 +5,6 @@
 // tiling grids, and any thread count.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -216,27 +215,11 @@ TEST(PackedConvLayerTest, FastRunUsesAccountedScratch) {
   EXPECT_GT(kernels::ScratchBytesInUse(), 0);
 }
 
-TEST(ExecModeTest, ParseAndResolve) {
+TEST(ExecModeTest, Parse) {
   EXPECT_EQ(fpga::ParseExecMode("sim"), ExecMode::kSimulate);
   EXPECT_EQ(fpga::ParseExecMode("simulate"), ExecMode::kSimulate);
   EXPECT_EQ(fpga::ParseExecMode("fast"), ExecMode::kFast);
   EXPECT_EQ(fpga::ParseExecMode("warp"), std::nullopt);
-
-  unsetenv("HWP_EXEC");
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kSimulate),
-            ExecMode::kSimulate);
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kFast),
-            ExecMode::kFast);
-  setenv("HWP_EXEC", "fast", 1);
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kSimulate),
-            ExecMode::kFast);
-  // An explicit request beats the environment.
-  EXPECT_EQ(fpga::ResolveExecMode(ExecMode::kSimulate, ExecMode::kFast),
-            ExecMode::kSimulate);
-  setenv("HWP_EXEC", "bogus", 1);
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kSimulate),
-            ExecMode::kSimulate);
-  unsetenv("HWP_EXEC");
 }
 
 // --- whole-model parity ------------------------------------------------

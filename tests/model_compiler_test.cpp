@@ -42,6 +42,12 @@ class ModelCompilerTest : public ::testing::Test {
     return dataset_->MakeSample(1, rng).clip;
   }
 
+  fpga::CompiledTinyR2Plus1d CompileOk(fpga::CompiledModelOptions opts) {
+    auto compiled = fpga::CompiledTinyR2Plus1d::Compile(*model_, opts);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    return std::move(compiled).value();
+  }
+
   Rng rng_{11};
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
@@ -50,9 +56,11 @@ class ModelCompilerTest : public ::testing::Test {
 TEST_F(ModelCompilerTest, DenseCompilationTracksFloatModel) {
   fpga::CompiledModelOptions opts;
   opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-  fpga::CompiledTinyR2Plus1d compiled(*model_, opts);
+  const fpga::CompiledTinyR2Plus1d compiled = CompileOk(opts);
+  EXPECT_EQ(compiled.executor(), fpga::ExecMode::kFast);  // the default
 
   const TensorF clip = MakeClip();
+  EXPECT_EQ(compiled.input_channels(), clip.dim(0));
   const TensorF accel_logits = compiled.Infer(clip);
 
   TensorF batch(Shape{1, clip.dim(0), clip.dim(1), clip.dim(2), clip.dim(3)});
@@ -68,7 +76,7 @@ TEST_F(ModelCompilerTest, DenseCompilationTracksFloatModel) {
 TEST_F(ModelCompilerTest, StatsAccumulateAcrossLayers) {
   fpga::CompiledModelOptions opts;
   opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-  fpga::CompiledTinyR2Plus1d compiled(*model_, opts);
+  const fpga::CompiledTinyR2Plus1d compiled = CompileOk(opts);
   fpga::CompiledRunStats stats;
   compiled.Infer(MakeClip(), &stats);
   EXPECT_GT(stats.modeled_cycles, 0);
@@ -90,7 +98,7 @@ TEST_F(ModelCompilerTest, MasksSkipBlocksAndMatchMaskedFloatModel) {
   fpga::CompiledModelOptions opts;
   opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
   opts.masks = pruner.masks();
-  fpga::CompiledTinyR2Plus1d compiled(*model_, opts);
+  const fpga::CompiledTinyR2Plus1d compiled = CompileOk(opts);
 
   const TensorF clip = MakeClip();
   fpga::CompiledRunStats stats;
@@ -110,7 +118,7 @@ TEST_F(ModelCompilerTest, MasksSkipBlocksAndMatchMaskedFloatModel) {
 TEST_F(ModelCompilerTest, ClassifyReturnsArgmax) {
   fpga::CompiledModelOptions opts;
   opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-  fpga::CompiledTinyR2Plus1d compiled(*model_, opts);
+  const fpga::CompiledTinyR2Plus1d compiled = CompileOk(opts);
   const TensorF clip = MakeClip();
   const TensorF logits = compiled.Infer(clip);
   int expect = 0;
@@ -118,13 +126,6 @@ TEST_F(ModelCompilerTest, ClassifyReturnsArgmax) {
     if (logits[k] > logits[expect]) expect = static_cast<int>(k);
   }
   EXPECT_EQ(compiled.Classify(clip), expect);
-}
-
-TEST_F(ModelCompilerTest, RejectsMismatchedMasks) {
-  fpga::CompiledModelOptions opts;
-  opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-  opts.masks.resize(3);  // wrong count (8 prunable convs)
-  EXPECT_THROW(fpga::CompiledTinyR2Plus1d(*model_, opts), Error);
 }
 
 TEST_F(ModelCompilerTest, CompileReturnsStatusInsteadOfThrowing) {
@@ -138,12 +139,6 @@ TEST_F(ModelCompilerTest, CompileReturnsStatusInsteadOfThrowing) {
   opts.masks.clear();
   auto good = fpga::CompiledTinyR2Plus1d::Compile(*model_, opts);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
-  // The Status path compiles the same artifact as the throwing ctor.
-  fpga::CompiledTinyR2Plus1d direct(*model_, opts);
-  const TensorF clip = MakeClip();
-  const TensorF a = good->Infer(clip);
-  const TensorF b = direct.Infer(clip);
-  for (int64_t k = 0; k < a.numel(); ++k) EXPECT_EQ(a[k], b[k]);
 }
 
 TEST_F(ModelCompilerTest, CompileRejectsMismatchedMaskGrid) {
@@ -170,7 +165,7 @@ TEST_F(ModelCompilerTest, CompileRejectsMismatchedMaskGrid) {
 TEST_F(ModelCompilerTest, RejectsBadClipRank) {
   fpga::CompiledModelOptions opts;
   opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-  fpga::CompiledTinyR2Plus1d compiled(*model_, opts);
+  const fpga::CompiledTinyR2Plus1d compiled = CompileOk(opts);
   EXPECT_THROW(compiled.Infer(TensorF(Shape{1, 6, 10})), ShapeError);
 }
 

@@ -172,7 +172,7 @@ class ServeFaultTest : public ::testing::Test {
     copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
     auto compiled = fpga::CompiledTinyR2Plus1d::Compile(*model_, copts);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    compiled_ = std::make_unique<fpga::CompiledTinyR2Plus1d>(
+    compiled_ = std::make_shared<const fpga::CompiledTinyR2Plus1d>(
         std::move(compiled).value());
   }
   void TearDown() override {
@@ -197,7 +197,7 @@ class ServeFaultTest : public ::testing::Test {
   Rng rng_{11};
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
-  std::unique_ptr<fpga::CompiledTinyR2Plus1d> compiled_;
+  std::shared_ptr<const fpga::CompiledTinyR2Plus1d> compiled_;
 };
 
 TEST_F(ServeFaultTest, TransientFailureRetriesToSuccess) {
@@ -207,7 +207,7 @@ TEST_F(ServeFaultTest, TransientFailureRetriesToSuccess) {
   cfg.max_batch = 1;
   cfg.max_delay_us = 1'000;
   cfg.retry = FastRetry(3);
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   const TensorF clip = MakeClip(1, 21);
   auto r = server.Submit(clip);
@@ -232,7 +232,7 @@ TEST_F(ServeFaultTest, ExhaustedRetriesFailTruthfully) {
   cfg.max_batch = 1;
   cfg.max_delay_us = 1'000;
   cfg.retry = FastRetry(2);
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   auto r = server.Submit(MakeClip(0, 33));
   ASSERT_FALSE(r.ok());
@@ -255,7 +255,7 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   cfg.max_delay_us = 2'000;
   cfg.quarantine_after = 2;
   cfg.retry = FastRetry(3);
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   std::vector<TensorF> clips;
   for (int i = 0; i < 8; ++i) clips.push_back(MakeClip(i % 4, 50 + i));
@@ -294,7 +294,7 @@ TEST_F(ServeFaultTest, WatchdogFailsAStuckBatch) {
   cfg.max_batch = 2;
   cfg.max_delay_us = 60'000'000;  // only the size trigger flushes
   cfg.watchdog_timeout_us = 50'000;
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   auto f0 = server.SubmitAsync(MakeClip(0, 70));
   auto f1 = server.SubmitAsync(MakeClip(1, 71));
@@ -321,7 +321,7 @@ TEST_F(ServeFaultTest, MidBatchDeadlineIsEnforcedPerItem) {
   cfg.replicas = 1;
   cfg.max_batch = 2;
   cfg.max_delay_us = 60'000'000;
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   auto fa = server.SubmitAsync(MakeClip(0, 80));  // no deadline
   auto fb = server.SubmitAsync(MakeClip(1, 81), /*deadline_us=*/20'000);
@@ -341,7 +341,7 @@ TEST_F(ServeFaultTest, InjectedAdmissionFailureIsTruthful) {
   cfg.replicas = 1;
   cfg.max_batch = 1;
   cfg.max_delay_us = 1'000;
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   auto rejected = server.Submit(MakeClip(0, 90));
   ASSERT_FALSE(rejected.ok());
@@ -367,7 +367,7 @@ TEST_F(ServeFaultTest, ClosedQueueChurnResolvesEveryFuture) {
   cfg.max_delay_us = 500;
   cfg.queue_capacity = 8;
   cfg.retry = FastRetry(2);
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 12;

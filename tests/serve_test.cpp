@@ -114,7 +114,7 @@ class ServeTest : public ::testing::Test {
     copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
     auto compiled = fpga::CompiledTinyR2Plus1d::Compile(*model_, copts);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    compiled_ = std::make_unique<fpga::CompiledTinyR2Plus1d>(
+    compiled_ = std::make_shared<const fpga::CompiledTinyR2Plus1d>(
         std::move(compiled).value());
   }
   void TearDown() override { SetLogLevel(LogLevel::Info); }
@@ -127,7 +127,7 @@ class ServeTest : public ::testing::Test {
   Rng rng_{11};
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
-  std::unique_ptr<fpga::CompiledTinyR2Plus1d> compiled_;
+  std::shared_ptr<const fpga::CompiledTinyR2Plus1d> compiled_;
 };
 
 TEST_F(ServeTest, FullBatchRunsAsOneDispatch) {
@@ -135,7 +135,7 @@ TEST_F(ServeTest, FullBatchRunsAsOneDispatch) {
   cfg.replicas = 2;
   cfg.max_batch = 4;
   cfg.max_delay_us = 60'000'000;  // only the size trigger can flush
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(server.SubmitAsync(MakeClip(i % 4, 100 + i)));
@@ -155,7 +155,7 @@ TEST_F(ServeTest, LoneRequestFlushesAfterMaxDelay) {
   cfg.replicas = 1;
   cfg.max_batch = 64;
   cfg.max_delay_us = 2'000;
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
   auto r = server.Submit(MakeClip(0, 7));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->batch_size, 1);
@@ -168,7 +168,7 @@ TEST_F(ServeTest, BackpressureRejectsBeyondQueueCapacity) {
   cfg.max_batch = 64;           // the size trigger can't fire
   cfg.max_delay_us = 500'000;   // and the delay trigger not for 500 ms
   cfg.queue_capacity = 4;
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
   for (int i = 0; i < 5; ++i) {
     futures.push_back(server.SubmitAsync(MakeClip(0, 10 + i)));
@@ -194,7 +194,7 @@ TEST_F(ServeTest, ExpiredDeadlineSkipsInference) {
   cfg.replicas = 1;
   cfg.max_batch = 8;
   cfg.max_delay_us = 50'000;  // the request waits 50 ms in the queue
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
   auto r = server.Submit(MakeClip(1, 3), /*deadline_us=*/1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
@@ -208,7 +208,7 @@ TEST_F(ServeTest, ShutdownDrainsAllAcceptedRequests) {
   cfg.max_batch = 4;
   cfg.max_delay_us = 60'000'000;
   cfg.queue_capacity = 16;
-  serve::InferenceServer server(*compiled_, cfg);
+  serve::InferenceServer server(compiled_, cfg);
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
   for (int i = 0; i < 6; ++i) {  // 6 < max_batch*2: one partial batch
     futures.push_back(server.SubmitAsync(MakeClip(i % 4, 40 + i)));
@@ -229,15 +229,26 @@ TEST_F(ServeTest, MalformedClipFailsOnlyThatRequest) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_us = 60'000'000;
-  serve::InferenceServer server(*compiled_, cfg);
+  // Malformed clips never reach the queue, so the good one flushes on
+  // the timer.
+  cfg.max_delay_us = 1'000;
+  serve::InferenceServer server(compiled_, cfg);
   auto bad = server.SubmitAsync(TensorF(Shape{1, 6, 10}));  // rank 3
+  auto wrong_channels = server.SubmitAsync(TensorF(Shape{3, 6, 10, 10}));
   auto good = server.SubmitAsync(MakeClip(2, 5));
-  auto bad_r = bad.get();
-  ASSERT_FALSE(bad_r.ok());
-  EXPECT_EQ(bad_r.status().code(), StatusCode::kInvalidArgument);
+  for (auto* f : {&bad, &wrong_channels}) {
+    auto r = f->get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
   auto good_r = good.get();
   EXPECT_TRUE(good_r.ok()) << good_r.status().ToString();
+  // Malformed clips are turned away at admission: they never take a
+  // queue slot.
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.accepted, 1);
+  EXPECT_EQ(stats.rejected, 2);
+  EXPECT_EQ(stats.completed, 1);
 }
 
 TEST_F(ServeTest, PredictionsInvariantAcrossReplicaCounts) {
@@ -253,7 +264,7 @@ TEST_F(ServeTest, PredictionsInvariantAcrossReplicaCounts) {
     cfg.replicas = replicas;
     cfg.max_batch = 3;
     cfg.max_delay_us = 1'000;
-    serve::InferenceServer server(*compiled_, cfg);
+    serve::InferenceServer server(compiled_, cfg);
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (const TensorF& clip : clips) {
       futures.push_back(server.SubmitAsync(clip));
