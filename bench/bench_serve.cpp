@@ -17,8 +17,9 @@
 // Replica scaling rides the process-wide hwp3d::ThreadPool, so size it
 // to the host: bench_serve --threads 4 --replicas 1,2,4. Other flags:
 // --clips N, --max-batch N, --max-delay-us N, --executor sim|fast
-// (anything else exits 2), --json-out=PATH, --trace-out F,
-// --metrics-out F.
+// (anything else exits 2), --json-out PATH, --trace-out F,
+// --metrics-out F. Every flag takes `--flag value` or `--flag=value`;
+// an unknown argument exits 2.
 //
 // Fault sweep: --fault-rate=0.1 (or HWP_FAULTS=serve.replica_infer=0.1)
 // injects transient replica failures. The bench then classifies every
@@ -26,7 +27,6 @@
 // exits non-zero only if a request was lost or resolved untruthfully.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -113,19 +113,40 @@ int main(int argc, char** argv) {
   long long max_delay_us = 500;
   std::vector<int> replica_counts = {1, 2, 4};
   double fault_rate = 0.0;
+  // Own flags, as `--flag value` or `--flag=value`; obs::InitFromArgs
+  // already removed the shared ones. Anything else exits 2.
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--clips=", 8) == 0) {
-      num_clips = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--max-batch=", 12) == 0) {
-      max_batch = std::atoi(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--max-delay-us=", 15) == 0) {
-      max_delay_us = std::atoll(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replica_counts = ParseIntList(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--fault-rate=", 13) == 0) {
-      fault_rate = std::atof(argv[i] + 13);
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "%s requires a value\n", arg.c_str());
+      return 2;
+    }
+    if (name == "--json-out") {
+      json_path = value;
+    } else if (name == "--clips") {
+      num_clips = std::atoi(value.c_str());
+    } else if (name == "--max-batch") {
+      max_batch = std::atoi(value.c_str());
+    } else if (name == "--max-delay-us") {
+      max_delay_us = std::atoll(value.c_str());
+    } else if (name == "--replicas") {
+      replica_counts = ParseIntList(value.c_str());
+    } else if (name == "--fault-rate") {
+      fault_rate = std::atof(value.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "unknown argument \"%s\" (flags: --clips, --replicas, "
+                   "--max-batch, --max-delay-us, --fault-rate, --json-out, "
+                   "--threads, --executor, --trace-out, --metrics-out)\n",
+                   arg.c_str());
+      return 2;
     }
   }
   if (fault_rate > 0.0) {

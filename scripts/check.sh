@@ -22,8 +22,11 @@ done
 # Hammer the thread-pool tests under the sanitizers: pool bugs are
 # timing-dependent, so repeat until-fail to shake out races. All pool
 # workers are joinable (never detached), so sanitizer runs stay clean.
-echo "==> thread-pool stress (sanitize)"
-ctest --preset sanitize -R 'thread_pool|conv_engine_parity' \
+# The packed executor's randomized parity sweep rides along: it runs on
+# the pool, and UBSan (-fno-sanitize-recover) aborts it if an int32
+# chunk bound ever lets a partial sum overflow.
+echo "==> thread-pool + packed-executor stress (sanitize)"
+ctest --preset sanitize -R 'thread_pool|conv_engine_parity|packed_parity' \
   --repeat until-fail:3
 
 # Same treatment for the serving layer: the dispatcher thread, the MPMC

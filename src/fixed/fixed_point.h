@@ -93,10 +93,13 @@ class Fixed16 {
   int16_t raw_ = 0;
 };
 
-// 32-bit accumulator matching a DSP48-style MAC chain: products are
-// accumulated at full precision and narrowed to Fixed16 only at the end,
-// which is how the adder-tree in the accelerator's processing element
-// behaves before write-back to the output buffer.
+// Wide (64-bit) accumulator standing in for a DSP48-style MAC chain's
+// 48-bit accumulator: products are accumulated at full precision and
+// narrowed to Fixed16 only at the end, which is how the adder-tree in
+// the accelerator's processing element behaves before write-back to the
+// output buffer. Each int16×int16 product fits in 32 bits and no
+// realistic sum overflows 64, so the accumulation is exact and its
+// result independent of order.
 class FixedAccum {
  public:
   constexpr FixedAccum() = default;
@@ -106,6 +109,10 @@ class FixedAccum {
   }
 
   void Add(FixedAccum o) { acc_ += o.acc_; }
+
+  // Folds in an exact partial sum of raw products (a narrower
+  // accumulator that the caller kept from overflowing).
+  void AddPartial(int32_t partial) { acc_ += partial; }
 
   // Adds a pre-scaled Fixed16 (e.g. a bias or a shortcut value).
   void AddFixed(Fixed16 v) {

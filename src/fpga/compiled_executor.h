@@ -14,8 +14,28 @@
 //    loads): block-enable low means the tile simply isn't in the packed
 //    stream, and skipping it costs zero wall-clock instead of a
 //    walked-and-skipped loop iteration. Within a tile, weights are
-//    stored [tn][kd][kr][kc][tm] so the inner loops stream one packed
-//    weight column against one input row (kernels::QOuterMacRow).
+//    stored [tn][kd][kr][kc][tm]: each (tn, kd, kr, kc) slot is one
+//    contiguous Tm-column of weights.
+//  * The inner loop walks the output plane, not the row. Stride-(Sr,
+//    Sc) inputs are first split into Sr×Sc phase planes of
+//    ceil(Ri/Sr)×ceil(Ci/Sc) (input (rr·Sr+φr, cc·Sc+φc) lands at
+//    (rr, cc) of phase (φr, φc); stride-1 inputs are their own single
+//    phase and are read in place). Output position q = r·Cph + c under
+//    tap (kr, kc) then reads phase (kr%Sr, kc%Sc) at offset
+//    q + (kr/Sr)·Cph + kc/Sc: one unit-stride strip of (R-1)·Cph + C
+//    positions covers the whole output plane for every slot, whatever
+//    the stride and whether or not Sc divides Sr·Ci. Strip positions
+//    with c >= C read real inputs (or zero phase padding) of the same
+//    plane and are computed, then dropped; each contiguous run of
+//    valid positions is post-processed with one call.
+//  * Accumulation is exact in int32 chunks. Pack time records the
+//    layer's max |w| and from it L = kernels::QChunkSlots(max|w|) =
+//    floor((2^31-1) / (max|w|·2^15)) >= 1: any L products sum in int32
+//    without overflow, halo lanes included (they read real int16
+//    values, |x| <= 2^15). Each slot adds one product per accumulator
+//    (kernels::QOuterMacRow32, or its position-major twin
+//    QOuterMacCol32 when the strip is shorter than the Tm-column), and
+//    every L slots the int32 partials fold into the int64 FixedAccum.
 //  * Timing is analytic. modeled_cycles / blocks_loaded / blocks_skipped
 //    / stall come from PerfModel::LayerCycles + the mask's block counts
 //    — the same accounting the simulator reproduces step by step (their
@@ -24,11 +44,12 @@
 //    intact while compute no longer pays for it.
 //
 // Results are bitwise identical to TiledConvSim::Run: products
-// accumulate exactly in 64-bit (order-independent), narrowing and the
-// post-processing unit reuse the simulator's Fixed16 arithmetic in the
-// same order. Output-channel blocks × output depth fan out on the
-// hwp3d::ThreadPool; each task owns a disjoint output slab, so results
-// are also thread-count invariant.
+// accumulate exactly (int32 chunks folded into 64 bits, so the sum is
+// order- and grouping-independent), narrowing and the post-processing
+// unit reuse the simulator's Fixed16 arithmetic in the same order.
+// Output-channel blocks × output depth fan out on the hwp3d::ThreadPool;
+// each task owns a disjoint output slab, so results are also
+// thread-count invariant.
 #pragma once
 
 #include <array>
@@ -86,6 +107,9 @@ class PackedConvLayer {
     return static_cast<int64_t>(tiles_.size());
   }
   int64_t total_tiles() const { return blocks_m_ * blocks_n_; }
+  // Products per output element summed in int32 between folds into the
+  // wide accumulator: kernels::QChunkSlots of the layer's max |w|.
+  int64_t chunk_slots() const { return chunk_slots_; }
 
  private:
   struct Tile {
@@ -106,6 +130,9 @@ class PackedConvLayer {
   std::vector<Fixed16> wdata_;   // packed tile weights, pruned elided
   std::optional<core::BlockMask> mask_;  // kept for the analytic stats
   int64_t sum_mn_ = 0;  // Σ over surviving tiles of tm_n*tn_n (for MACs)
+  // Slots whose products an int32 partial sums exactly, from the
+  // layer's max |w| (kernels::QChunkSlots).
+  int64_t chunk_slots_ = 1;
 };
 
 }  // namespace hwp3d::fpga

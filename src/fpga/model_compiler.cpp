@@ -121,13 +121,17 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
   acts.reserve(plan_.size() + 1);
   acts.push_back(Quantize(clip));
   for (const Stage& stage : plan_) {
-    const TensorQ padded = PadInput(acts[stage.input], stage.padding);
+    // Unpadded stages (1x1x1 shortcuts) read the activation in place.
+    const bool pad = stage.padding != std::array<int64_t, 3>{0, 0, 0};
+    const TensorQ padded =
+        pad ? PadInput(acts[stage.input], stage.padding) : TensorQ();
+    const TensorQ& stage_in = pad ? padded : acts[stage.input];
     PostOps post = stage.post;
     post.shortcut = stage.shortcut >= 0 ? &acts[stage.shortcut] : nullptr;
     TiledConvResult r =
         stage.packed.has_value()
-            ? stage.packed->Run(padded, stage.stride, post, stage.name)
-            : sim_.Run(stage.weights, padded, stage.stride,
+            ? stage.packed->Run(stage_in, stage.stride, post, stage.name)
+            : sim_.Run(stage.weights, stage_in, stage.stride,
                        stage.mask.has_value() ? &*stage.mask : nullptr, post,
                        stage.name);
     if (stats != nullptr) {

@@ -212,12 +212,14 @@ TensorQ PadInput(const TensorQ& input, std::array<int64_t, 3> pad) {
   const auto [Pd, Pr, Pc] = pad;
   const int64_t N = input.dim(0), D = input.dim(1), R = input.dim(2),
                 C = input.dim(3);
-  TensorQ out(Shape{N, D + 2 * Pd, R + 2 * Pr, C + 2 * Pc});
+  const int64_t Dp = D + 2 * Pd, Rp = R + 2 * Pr, Cp = C + 2 * Pc;
+  TensorQ out(Shape{N, Dp, Rp, Cp});  // zero-filled: the halo
+  const Fixed16* src = input.data();
+  Fixed16* dst = out.data();
   for (int64_t n = 0; n < N; ++n)
     for (int64_t d = 0; d < D; ++d)
-      for (int64_t r = 0; r < R; ++r)
-        for (int64_t c = 0; c < C; ++c)
-          out(n, d + Pd, r + Pr, c + Pc) = input(n, d, r, c);
+      for (int64_t r = 0; r < R; ++r, src += C)
+        std::copy_n(src, C, dst + ((n * Dp + d + Pd) * Rp + r + Pr) * Cp + Pc);
   return out;
 }
 

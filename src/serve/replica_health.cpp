@@ -29,11 +29,6 @@ bool ReplicaHealth::RecordFailure(int replica) {
   return true;
 }
 
-bool ReplicaHealth::healthy(int replica) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return !states_[static_cast<size_t>(replica)].quarantined;
-}
-
 std::vector<int> ReplicaHealth::HealthySet() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<int> set;

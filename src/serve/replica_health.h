@@ -30,7 +30,6 @@ class ReplicaHealth {
   // replica into quarantine (the caller counts/logs the transition).
   bool RecordFailure(int replica);
 
-  bool healthy(int replica) const;
   // Indices of non-quarantined replicas, ascending. Never empty.
   std::vector<int> HealthySet() const;
   int healthy_count() const;

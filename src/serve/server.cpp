@@ -69,17 +69,6 @@ constexpr const char* kFaultReplicaInfer = "serve.replica_infer";
 constexpr const char* kFaultReplicaWedge = "serve.replica_wedge";
 constexpr const char* kFaultQueueAdmit = "serve.queue_admit";
 
-// Sorted-copy percentile (q in [0,1]).
-double PercentileUs(std::vector<double> latencies_us, double q) {
-  if (latencies_us.empty()) return 0.0;
-  std::sort(latencies_us.begin(), latencies_us.end());
-  const double pos = q * static_cast<double>(latencies_us.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, latencies_us.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return latencies_us[lo] * (1.0 - frac) + latencies_us[hi] * frac;
-}
-
 // A future already resolved with `status`.
 std::future<StatusOr<InferenceResult>> Resolved(Status status) {
   std::promise<StatusOr<InferenceResult>> promise;
@@ -305,7 +294,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
         {
           std::lock_guard<std::mutex> lk(stats_mu_);
           ++totals_.completed;
-          latencies_us_.push_back(latency_us);
+          latency_record_.Record(latency_us);
         }
         req.promise.set_value(std::move(result));
       }
@@ -479,9 +468,9 @@ ServerStats InferenceServer::Stats() const {
       s.batches > 0
           ? static_cast<double>(s.completed) / static_cast<double>(s.batches)
           : 0.0;
-  s.p50_ms = PercentileUs(latencies_us_, 0.50) / 1000.0;
-  s.p95_ms = PercentileUs(latencies_us_, 0.95) / 1000.0;
-  s.p99_ms = PercentileUs(latencies_us_, 0.99) / 1000.0;
+  s.p50_ms = latency_record_.Percentile(0.50) / 1000.0;
+  s.p95_ms = latency_record_.Percentile(0.95) / 1000.0;
+  s.p99_ms = latency_record_.Percentile(0.99) / 1000.0;
   return s;
 }
 

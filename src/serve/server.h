@@ -60,6 +60,7 @@
 
 #include "common/retry.h"
 #include "fpga/model_compiler.h"
+#include "serve/latency_histogram.h"
 #include "serve/replica_health.h"
 #include "serve/request_queue.h"
 
@@ -90,7 +91,9 @@ struct ServerStats {
   int64_t queue_depth = 0;        // at the time of the Stats() call
   double mean_batch_size = 0.0;
   // End-to-end (enqueue -> completion) latency percentiles over every
-  // completed request, in milliseconds.
+  // completed request, in milliseconds, read from a fixed log-linear
+  // histogram: within LatencyHistogram::kMaxRelativeError (1/64) of the
+  // exact sorted-sample percentile for latencies >= 1 µs.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -170,10 +173,11 @@ class InferenceServer {
   bool watchdog_stop_ = false;
   std::optional<WatchTarget> watch_;
 
-  // Aggregate counters; latencies_ feeds the Stats() percentiles.
+  // Aggregate counters; latency_record_ feeds the Stats() percentiles
+  // in constant memory.
   mutable std::mutex stats_mu_;
   ServerStats totals_;
-  std::vector<double> latencies_us_;
+  LatencyHistogram latency_record_;
 };
 
 }  // namespace hwp3d::serve

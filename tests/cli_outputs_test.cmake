@@ -1,6 +1,7 @@
 # Runs every binary that takes --trace-out / --metrics-out with both
 # flags and fails unless it wrote both files, non-empty; then checks
-# that bench_serve serves with the engine --executor names.
+# that bench_serve serves with the engine --executor names, takes its
+# own flags as `--flag value` too, and exits 2 on an unknown argument.
 #
 #   cmake -DBENCH_SERVE=<path> -DQUICKSTART=<path> -DDESIGN_EXPLORER=<path>
 #         -DOUT_DIR=<scratch dir> -P cli_outputs_test.cmake
@@ -50,3 +51,24 @@ if(pos EQUAL -1)
                       "simulator:\n${out}")
 endif()
 message(STATUS "bench_serve: --executor=sim honoured")
+
+# Space-separated flag values: 8 clips on one replica count.
+run_in_out_dir(out "${BENCH_SERVE}" --clips 8 --replicas 1
+               --json-out "${OUT_DIR}/BENCH_serve_space.json")
+file(READ "${OUT_DIR}/BENCH_serve_space.json" json)
+string(JSON clips GET "${json}" clips)
+string(JSON configs LENGTH "${json}" configs)
+if(NOT clips EQUAL 8 OR NOT configs EQUAL 1)
+  message(FATAL_ERROR "bench_serve --clips 8 --replicas 1 wrote clips=${clips} "
+                      "and ${configs} configs (want 8 and 1)")
+endif()
+message(STATUS "bench_serve: --flag value form honoured")
+
+execute_process(COMMAND "${BENCH_SERVE}" --clips 8 --no-such-flag=1
+                WORKING_DIRECTORY "${OUT_DIR}"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "bench_serve with an unknown argument exited ${rc}, "
+                      "want 2")
+endif()
+message(STATUS "bench_serve: unknown argument exits 2")

@@ -5,8 +5,11 @@
 // slow and single-core).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <future>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -17,6 +20,7 @@
 #include "nn/trainer.h"
 #include "obs/trace.h"
 #include "serve/inference_session.h"
+#include "serve/latency_histogram.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"
 #include "tensor/tensor_ops.h"
@@ -71,6 +75,41 @@ TEST(RequestQueueTest, RejectsWhenFullAndAfterClose) {
   EXPECT_EQ(q.PopBatch(8, 1'000'000).size(), 2u);
   // ...and then the empty shutdown signal.
   EXPECT_TRUE(q.PopBatch(8, 1'000'000).empty());
+}
+
+// The server's latency record: 1e5 observations in a fixed-size
+// histogram, percentiles within the stated relative error of the exact
+// sorted-sample percentiles.
+TEST(LatencyHistogramTest, ConstantMemoryAndBoundedError) {
+  // A fixed array of counters, no heap: memory cannot grow with the
+  // number of recorded requests.
+  static_assert(std::is_trivially_copyable_v<serve::LatencyHistogram>);
+  static_assert(sizeof(serve::LatencyHistogram) <= 16 * 1024);
+
+  serve::LatencyHistogram hist;
+  EXPECT_EQ(hist.Percentile(0.5), 0.0);
+  Rng rng(77);
+  std::vector<double> exact;
+  constexpr int kObservations = 100000;
+  exact.reserve(kObservations);
+  for (int i = 0; i < kObservations; ++i) {
+    // Log-normal around ~1 ms with a long tail up to seconds.
+    const double us = std::exp(rng.Normal(std::log(1000.0), 1.2)) + 1.0;
+    exact.push_back(us);
+    hist.Record(us);
+  }
+  EXPECT_EQ(hist.count(), kObservations);
+  std::sort(exact.begin(), exact.end());
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    const double pos = q * static_cast<double>(exact.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, exact.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    const double want = exact[lo] * (1.0 - frac) + exact[hi] * frac;
+    EXPECT_LE(std::abs(hist.Percentile(q) - want),
+              serve::LatencyHistogram::kMaxRelativeError * want)
+        << "q=" << q;
+  }
 }
 
 TEST(RequestQueueTest, NearFlushWaitDoesNotBusySpin) {
