@@ -7,13 +7,15 @@
 // Beyond the google-benchmark suite, main() runs an engine-comparison
 // harness (naive vs gemm training step on a tiny R(2+1)D block) and
 // writes a machine-readable summary to --json-out=PATH
-// (default BENCH_kernels.json): GFLOP/s, speedup, and the gemm engine's
-// pack/compute time split taken from the kernels.gemm.* counters.
+// (default BENCH_kernels.json): GFLOP/s, speedup, Sgemm GFLOP/s on the
+// per-sample training GEMMs of one R(2+1)D spatial conv, and the gemm
+// engine's pack/compute time split taken from the kernels.gemm.* counters.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/rng.h"
@@ -252,6 +254,42 @@ double TimeTrainStepMs(TrainStepSetup& setup, kernels::Engine engine) {
   return best_ms;
 }
 
+// Sgemm on the per-sample GEMMs that the served toy model's
+// stage1.conv2.spatial (8 -> 18 ch, 1x3x3, 6x10x10 clip) lowers to in
+// training: K = 8*3*3 = 72 im2col rows, P = 600 positions.
+struct TrainGemmShape {
+  const char* name;
+  bool trans_a, trans_b;
+  int64_t m, n, k;
+  bool accumulate;
+};
+constexpr TrainGemmShape kTrainGemmShapes[] = {
+    {"forward", false, false, 18, 600, 72, false},  // y = W * cols
+    {"dw", false, true, 18, 72, 600, true},         // dW += dy * cols^T
+    {"dx", true, false, 72, 600, 18, false},        // dcols = W^T * dy
+};
+
+// Best-of-200 GFLOP/s of one shape; A and B are stored transposed where
+// the shape says so, with tight leading dimensions.
+double TimeTrainGemmGflops(const TrainGemmShape& s, Rng& rng) {
+  const int64_t a_cols = s.trans_a ? s.m : s.k;
+  const int64_t b_cols = s.trans_b ? s.k : s.n;
+  TensorF a(Shape{s.m * s.k}), b(Shape{s.k * s.n}), c(Shape{s.m * s.n});
+  FillUniform(a, rng, -1.0f, 1.0f);
+  FillUniform(b, rng, -1.0f, 1.0f);
+  const double flops = 2.0 * s.m * s.n * s.k;
+  double best_us = 1e300;
+  for (int r = 0; r < 200; ++r) {
+    const double t0 = obs::NowUs();
+    kernels::Sgemm(s.trans_a, s.trans_b, s.m, s.n, s.k, a.data(), a_cols,
+                   b.data(), b_cols, c.data(), s.n, s.accumulate);
+    benchmark::DoNotOptimize(c.data());
+    const double us = obs::NowUs() - t0;
+    best_us = us < best_us ? us : best_us;
+  }
+  return flops / best_us / 1000.0;
+}
+
 // GFLOP/s of the gemm-engine conv forward from BM_Conv3dForwardGemm's
 // shape, plus the pack/compute split from the kernels.gemm.* counters.
 void RunEngineComparison(const std::string& json_path) {
@@ -298,12 +336,24 @@ void RunEngineComparison(const std::string& json_path) {
   const double pack_frac =
       split_total > 0.0 ? static_cast<double>(pack_us) / split_total : 0.0;
 
+  // After the split is read, so these runs stay out of it.
+  double train_gflops[std::size(kTrainGemmShapes)];
+  for (size_t i = 0; i < std::size(kTrainGemmShapes); ++i) {
+    train_gflops[i] = TimeTrainGemmGflops(kTrainGemmShapes[i], rng);
+  }
+
   std::printf("\n-- engine comparison (tiny R(2+1)D residual block) --\n");
   std::printf("threads:              %d\n", ThreadPool::Get().threads());
   std::printf("train step naive:     %.2f ms\n", naive_ms);
   std::printf("train step gemm:      %.2f ms\n", gemm_ms);
   std::printf("speedup:              %.2fx\n", speedup);
   std::printf("conv forward (gemm):  %.2f GFLOP/s\n", conv_gflops);
+  for (size_t i = 0; i < std::size(kTrainGemmShapes); ++i) {
+    const TrainGemmShape& g = kTrainGemmShapes[i];
+    std::printf("sgemm %-7s %3lldx%3lldx%3lld: %.2f GFLOP/s\n", g.name,
+                static_cast<long long>(g.m), static_cast<long long>(g.n),
+                static_cast<long long>(g.k), train_gflops[i]);
+  }
   std::printf("gemm pack/compute:    %.0f%% / %.0f%%\n", 100.0 * pack_frac,
               100.0 * (1.0 - pack_frac));
 
@@ -326,6 +376,15 @@ void RunEngineComparison(const std::string& json_path) {
       << "    \"config\": \"8->8 ch, 3x3x3, pad 1, input [1,8,8,16,16]\",\n"
       << "    \"gemm_gflops\": " << conv_gflops << "\n"
       << "  },\n"
+      << "  \"train_gemm\": {\n"
+      << "    \"config\": \"stage1.conv2.spatial per-sample GEMMs (m x n x k): "
+         "forward 18x600x72, dw 18x72x600, dx 72x600x18\",\n";
+  for (size_t i = 0; i < std::size(kTrainGemmShapes); ++i) {
+    out << "    \"" << kTrainGemmShapes[i].name << "_gflops\": "
+        << train_gflops[i]
+        << (i + 1 < std::size(kTrainGemmShapes) ? ",\n" : "\n");
+  }
+  out << "  },\n"
       << "  \"gemm_split\": {\n"
       << "    \"pack_us\": " << pack_us << ",\n"
       << "    \"compute_us\": " << comp_us << ",\n"

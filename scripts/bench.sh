@@ -4,6 +4,7 @@
 # BENCH_serve.json) in the repo root.
 #
 # Usage: scripts/bench.sh [-j N] [--native] [--check] [extra bench_kernels args...]
+#   -j N      build parallelism (the benches themselves run on one thread)
 #   --native  build with the release-native preset (-O3 -march=native;
 #             binaries are tuned to THIS machine's ISA — don't ship them)
 #   --check   after the run, compare the fresh summaries against the
@@ -44,11 +45,14 @@ cmake --preset "${PRESET}"
 echo "==> build bench_kernels + bench_serve"
 cmake --build --preset "${PRESET}" -j "${JOBS}" --target bench_kernels bench_serve
 
-echo "==> run bench_kernels"
-"./${BUILD_DIR}/bench/bench_kernels" --json-out=BENCH_kernels.json "$@"
+# Both benches run on one thread: the committed baselines are one-thread
+# records, and the guarded ratios (pruned_vs_dense above all) move with
+# the thread count. bench_check.py refuses a run at another count.
+echo "==> run bench_kernels (1 thread)"
+HWP_THREADS=1 "./${BUILD_DIR}/bench/bench_kernels" --json-out=BENCH_kernels.json "$@"
 
-echo "==> run bench_serve"
-"./${BUILD_DIR}/bench/bench_serve" --threads "${JOBS}" --json-out=BENCH_serve.json
+echo "==> run bench_serve (1 thread)"
+"./${BUILD_DIR}/bench/bench_serve" --threads 1 --json-out=BENCH_serve.json
 
 echo "==> wrote BENCH_kernels.json BENCH_serve.json"
 

@@ -6,6 +6,11 @@ BENCH_serve.json) against the committed baselines in bench/baselines/
 and exits non-zero when a guarded metric regressed by more than the
 tolerance (default 15%).
 
+A fresh summary recorded at a different thread count than its baseline
+is an error, not a comparison: the guarded ratios depend on the thread
+count (pruned_vs_dense most of all), so such a pair says nothing about
+the code.
+
 Only *ratio* metrics are guarded — speedups of one configuration over
 another measured in the same run (gemm-vs-naive, fast-vs-sim executor,
 pruned-vs-dense). Absolute clips/s or GFLOP/s depend on the host CPU
@@ -61,6 +66,7 @@ def main():
 
     checked = 0
     failures = []
+    mismatched = set()  # files whose thread counts differ
     for fname, dotted, label in GUARDED:
         base_path = os.path.join(args.baseline_dir, fname)
         fresh_path = os.path.join(args.fresh_dir, fname)
@@ -73,6 +79,17 @@ def main():
         base_doc, fresh_doc = load(base_path), load(fresh_path)
         if base_doc is None or fresh_doc is None:
             failures.append(f"{label}: unreadable JSON")
+            continue
+        base_threads = base_doc.get("threads")
+        fresh_threads = fresh_doc.get("threads")
+        if base_threads != fresh_threads:
+            if fname not in mismatched:
+                mismatched.add(fname)
+                failures.append(
+                    f"{fname}: fresh run used {fresh_threads} thread(s) but "
+                    f"the baseline was recorded with {base_threads}; rerun "
+                    f"at {base_threads} (scripts/bench.sh does) instead of "
+                    "comparing")
             continue
         base = lookup(base_doc, dotted)
         fresh = lookup(fresh_doc, dotted)

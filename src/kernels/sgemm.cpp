@@ -55,29 +55,47 @@ void PackB(const float* b, int64_t ldb, bool trans, int64_t pc, int64_t jc,
   }
 }
 
-// C[mr×nr] += Ap · Bp over kc. The kMR×kNR float accumulator block
-// stays in registers; the p-loop body is a rank-1 update with
-// contiguous panel reads, which the compiler vectorizes.
+// One SIMD register of floats (GCC/Clang vector extension). Lane-wise
+// * and + round exactly like the scalar float operations they replace.
+using Vec4 = float __attribute__((vector_size(16)));
+inline constexpr int64_t kVec = 4;
+inline constexpr int64_t kNV = kNR / kVec;  // vectors per B panel row
+static_assert(kNR % kVec == 0, "kNR must be a whole number of vectors");
+
+inline Vec4 LoadVec(const float* p) {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// C[mr×nr] += Ap · Bp over kc. The kMR×kNV accumulator vectors are
+// named locals the compiler keeps in registers (see kMR/kNR); each p
+// step is a rank-1 update: kNV contiguous B loads, kMR broadcasts of A.
+// Every accumulator lane sums its kc products in p order from 0.0f.
 void MicroKernel(int64_t kc, const float* ap, const float* bp, float* c,
                  int64_t ldc, int64_t mr, int64_t nr) {
-  float acc[kMR][kNR] = {};
+  Vec4 acc[kMR][kNV] = {};
   for (int64_t p = 0; p < kc; ++p) {
     const float* av = ap + p * kMR;
-    const float* bv = bp + p * kNR;
+    Vec4 bv[kNV];
+    for (int64_t v = 0; v < kNV; ++v) bv[v] = LoadVec(bp + p * kNR + v * kVec);
     for (int64_t i = 0; i < kMR; ++i) {
       const float ai = av[i];
-      for (int64_t j = 0; j < kNR; ++j) acc[i][j] += ai * bv[j];
+      for (int64_t v = 0; v < kNV; ++v) acc[i][v] += ai * bv[v];
     }
   }
   if (mr == kMR && nr == kNR) {
     for (int64_t i = 0; i < kMR; ++i) {
       float* crow = c + i * ldc;
-      for (int64_t j = 0; j < kNR; ++j) crow[j] += acc[i][j];
+      for (int64_t v = 0; v < kNV; ++v) {
+        const Vec4 sum = LoadVec(crow + v * kVec) + acc[i][v];
+        std::memcpy(crow + v * kVec, &sum, sizeof(sum));
+      }
     }
   } else {
     for (int64_t i = 0; i < mr; ++i) {
       float* crow = c + i * ldc;
-      for (int64_t j = 0; j < nr; ++j) crow[j] += acc[i][j];
+      for (int64_t j = 0; j < nr; ++j) crow[j] += acc[i][j / kVec][j % kVec];
     }
   }
 }

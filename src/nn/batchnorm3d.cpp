@@ -19,33 +19,40 @@ BatchNorm3d::BatchNorm3d(int64_t channels, std::string name, float eps,
   beta_.value.Fill(0.0f);
 }
 
+// The loops below walk each contiguous (b, c) slab of S = D·H·W floats
+// in (b, d, h, w) order with the same float/double types as the
+// per-element definition, so sums and outputs are bitwise those of a
+// plain 5-index loop (tests/batchnorm3d_test.cpp holds that reference).
+
 TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5 && x.dim(1) == channels_,
                       name_ << ": bad input " << x.shape().ToString());
   const int64_t B = x.dim(0), C = channels_;
-  const int64_t D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const int64_t per_channel = B * D * H * W;
+  const int64_t S = x.dim(2) * x.dim(3) * x.dim(4);
+  const int64_t per_channel = B * S;
+  const float* xd = x.data();
 
   TensorF mean(Shape{C});
   TensorF inv_std(Shape{C});
   if (train) {
     for (int64_t c = 0; c < C; ++c) {
       double s = 0.0;
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t d = 0; d < D; ++d)
-          for (int64_t h = 0; h < H; ++h)
-            for (int64_t w = 0; w < W; ++w) s += x(b, c, d, h, w);
+      for (int64_t b = 0; b < B; ++b) {
+        const float* xs = xd + (b * C + c) * S;
+        for (int64_t i = 0; i < S; ++i) s += xs[i];
+      }
       mean[c] = static_cast<float>(s / per_channel);
     }
     for (int64_t c = 0; c < C; ++c) {
+      const float mu = mean[c];
       double s = 0.0;
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t d = 0; d < D; ++d)
-          for (int64_t h = 0; h < H; ++h)
-            for (int64_t w = 0; w < W; ++w) {
-              const double dev = x(b, c, d, h, w) - mean[c];
-              s += dev * dev;
-            }
+      for (int64_t b = 0; b < B; ++b) {
+        const float* xs = xd + (b * C + c) * S;
+        for (int64_t i = 0; i < S; ++i) {
+          const double dev = xs[i] - mu;
+          s += dev * dev;
+        }
+      }
       const float var = static_cast<float>(s / per_channel);
       inv_std[c] = 1.0f / std::sqrt(var + eps_);
       running_mean_[c] =
@@ -61,14 +68,14 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   }
 
   TensorF y(x.shape());
+  float* yd = y.data();
   for (int64_t b = 0; b < B; ++b)
     for (int64_t c = 0; c < C; ++c) {
       const float g = gamma_.value[c], bt = beta_.value[c];
       const float mu = mean[c], is = inv_std[c];
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w)
-            y(b, c, d, h, w) = g * (x(b, c, d, h, w) - mu) * is + bt;
+      const float* xs = xd + (b * C + c) * S;
+      float* ys = yd + (b * C + c) * S;
+      for (int64_t i = 0; i < S; ++i) ys[i] = g * (xs[i] - mu) * is + bt;
     }
 
   if (train) {
@@ -82,39 +89,47 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
 TensorF BatchNorm3d::Backward(const TensorF& dy) {
   const TensorF& x = cached_input_;
   HWP_CHECK_MSG(!x.empty(), name_ << ": Backward before Forward(train=true)");
+  HWP_SHAPE_CHECK_MSG(dy.shape() == x.shape(),
+                      name_ << ": bad grad " << dy.shape().ToString());
   const int64_t B = x.dim(0), C = channels_;
-  const int64_t D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const double n = static_cast<double>(B * D * H * W);
+  const int64_t S = x.dim(2) * x.dim(3) * x.dim(4);
+  const double n = static_cast<double>(B * S);
+  const float* xd = x.data();
+  const float* dyd = dy.data();
 
   TensorF dx(x.shape());
+  float* dxd = dx.data();
   for (int64_t c = 0; c < C; ++c) {
     const float mu = batch_mean_[c];
     const float is = batch_inv_std_[c];
     const float g = gamma_.value[c];
     // Reductions: sum dy, sum dy*xhat.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t b = 0; b < B; ++b)
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w) {
-            const float xhat = (x(b, c, d, h, w) - mu) * is;
-            const float gy = dy(b, c, d, h, w);
-            sum_dy += gy;
-            sum_dy_xhat += static_cast<double>(gy) * xhat;
-          }
+    for (int64_t b = 0; b < B; ++b) {
+      const float* xs = xd + (b * C + c) * S;
+      const float* gs = dyd + (b * C + c) * S;
+      for (int64_t i = 0; i < S; ++i) {
+        const float xhat = (xs[i] - mu) * is;
+        const float gy = gs[i];
+        sum_dy += gy;
+        sum_dy_xhat += static_cast<double>(gy) * xhat;
+      }
+    }
     gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
     beta_.grad[c] += static_cast<float>(sum_dy);
 
     // dx = (g*is/n) * (n*dy - sum_dy - xhat * sum_dy_xhat)
     const double k = static_cast<double>(g) * is / n;
-    for (int64_t b = 0; b < B; ++b)
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w) {
-            const float xhat = (x(b, c, d, h, w) - mu) * is;
-            dx(b, c, d, h, w) = static_cast<float>(
-                k * (n * dy(b, c, d, h, w) - sum_dy - xhat * sum_dy_xhat));
-          }
+    for (int64_t b = 0; b < B; ++b) {
+      const float* xs = xd + (b * C + c) * S;
+      const float* gs = dyd + (b * C + c) * S;
+      float* dxs = dxd + (b * C + c) * S;
+      for (int64_t i = 0; i < S; ++i) {
+        const float xhat = (xs[i] - mu) * is;
+        dxs[i] = static_cast<float>(
+            k * (n * gs[i] - sum_dy - xhat * sum_dy_xhat));
+      }
+    }
   }
   return dx;
 }
