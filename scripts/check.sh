@@ -24,10 +24,14 @@ done
 # workers are joinable (never detached), so sanitizer runs stay clean.
 # The packed executor's randomized parity sweep rides along: it runs on
 # the pool, and UBSan (-fno-sanitize-recover) aborts it if an int32
-# chunk bound ever lets a partial sum overflow.
-echo "==> thread-pool + packed-executor stress (sanitize)"
+# chunk bound ever lets a partial sum overflow. So does the
+# sample-parallel conv engine (per-sample dx slices, dW partial slices,
+# the scratch release after training) at four pool threads.
+echo "==> thread-pool + packed-executor + conv-engine stress (sanitize)"
 ctest --preset sanitize -R 'thread_pool|conv_engine_parity|packed_parity' \
   --repeat until-fail:3
+HWP_THREADS=4 ctest --preset sanitize \
+  -R 'conv3d_gemm_order|thread_count_checkpoint' --repeat until-fail:3
 
 # Same treatment for the serving layer: the dispatcher thread, the MPMC
 # queue, the promise hand-off, and the fault paths (retry, quarantine,
@@ -37,17 +41,23 @@ echo "==> serve + fault stress (sanitize)"
 ctest --preset sanitize -R 'serve' --repeat until-fail:3
 
 # ThreadSanitizer pass over the concurrent subsystems: the thread pool,
-# the serving dispatcher/watchdog, and the fault-injection paths where
-# the watchdog and replica lanes race for request promises. Guarded by
-# a probe because not every toolchain ships a working libtsan.
-echo "==> thread sanitizer (serve + pool + fault paths)"
+# the serving dispatcher/watchdog, the fault-injection paths where the
+# watchdog and replica lanes race for request promises, and the
+# sample-parallel conv engine with its scratch release, at four pool
+# threads. Guarded by a probe because not every toolchain ships a
+# working libtsan.
+echo "==> thread sanitizer (serve + pool + fault paths + conv engine)"
 if printf 'int main(){return 0;}' \
     | c++ -fsanitize=thread -x c++ - -o /tmp/hwp_tsan_probe 2>/dev/null \
     && /tmp/hwp_tsan_probe 2>/dev/null; then
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
-    --target serve_test serve_fault_test thread_pool_test
-  ctest --preset tsan -R 'serve|thread_pool' --repeat until-fail:2
+    --target serve_test serve_fault_test thread_pool_test \
+    conv3d_gemm_order_test session_checkpoint
+  HWP_THREADS=4 ctest --preset tsan \
+    -R 'serve|thread_pool|conv3d_gemm_order' --repeat until-fail:2
+  # Three whole session builds, ~65 s each under TSan: run it once.
+  HWP_THREADS=4 ctest --preset tsan -R 'thread_count_checkpoint'
 else
   echo "(ThreadSanitizer unavailable on this toolchain; skipping)"
 fi

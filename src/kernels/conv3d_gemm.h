@@ -8,6 +8,15 @@
 // same weight tensor feeds the pruning core, the FPGA simulator, and
 // this engine. Parity with the naive reference loops is asserted by
 // tests/conv_engine_parity_test.cpp.
+//
+// Parallelism lives in the sample loop: samples fan out over the
+// ThreadPool and the Im2col3d / Sgemm / Col2im3d calls inside run
+// inline on their participant. y and dx are written per sample into
+// disjoint slices. dW is folded serially from per-sample, per-kKC-block
+// partials in (sample, block) order, which is exactly the order a
+// serial Sgemm(accumulate=true) per sample adds them, so every output
+// is bitwise the same for any thread count
+// (tests/conv3d_gemm_order_test.cpp pins this).
 #pragma once
 
 #include "kernels/im2col.h"

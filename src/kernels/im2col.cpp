@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "kernels/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -32,7 +31,7 @@ void Im2col3d(const Conv3dGeom& g, const float* x, float* cols) {
   const int64_t P = g.cols_cols();
   const int64_t khw = g.k_h * g.k_w;
   const int64_t kdhw = g.k_d * khw;
-  ThreadPool::Get().For(0, K, [&](int64_t r) {
+  for (int64_t r = 0; r < K; ++r) {
     const int64_t n = r / kdhw;
     const int64_t kd = (r / khw) % g.k_d;
     const int64_t kh = (r / g.k_w) % g.k_h;
@@ -71,7 +70,7 @@ void Im2col3d(const Conv3dGeom& g, const float* x, float* cols) {
         dst += g.out_w;
       }
     }
-  });
+  }
 
   us_total.Add(static_cast<int64_t>(obs::NowUs() - t0));
 }
@@ -83,9 +82,7 @@ void Col2im3d(const Conv3dGeom& g, const float* cols, float* dx) {
   const double t0 = obs::NowUs();
 
   const int64_t P = g.cols_cols();
-  // Each channel n owns a disjoint slice of dx, so the scatter-add is
-  // race-free when parallelized over channels.
-  ThreadPool::Get().For(0, g.in_c, [&](int64_t n) {
+  for (int64_t n = 0; n < g.in_c; ++n) {
     float* dx_n = dx + n * g.in_d * g.in_h * g.in_w;
     for (int64_t kd = 0; kd < g.k_d; ++kd) {
       for (int64_t kh = 0; kh < g.k_h; ++kh) {
@@ -111,7 +108,7 @@ void Col2im3d(const Conv3dGeom& g, const float* cols, float* dx) {
         }
       }
     }
-  });
+  }
 
   us_total.Add(static_cast<int64_t>(obs::NowUs() - t0));
 }

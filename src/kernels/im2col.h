@@ -33,11 +33,12 @@ struct Conv3dGeom {
   int64_t out_sample_size() const { return out_c * cols_cols(); }
 };
 
-// Fills cols[K × P] from one input sample; parallel over rows.
+// Fills cols[K × P] from one input sample. Serial: the conv engine
+// parallelizes over samples, one Im2col3d per sample.
 void Im2col3d(const Conv3dGeom& g, const float* x, float* cols);
 
 // Scatter-adds cols[K × P] back into one (pre-zeroed or accumulating)
-// input-gradient sample dx[N][Di][Hi][Wi]; parallel over channels.
+// input-gradient sample dx[N][Di][Hi][Wi]. Serial, like Im2col3d.
 void Col2im3d(const Conv3dGeom& g, const float* cols, float* dx);
 
 }  // namespace hwp3d::kernels

@@ -5,6 +5,7 @@
 #include <exception>
 #include <string>
 
+#include "common/error.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -70,6 +71,17 @@ ThreadPool::~ThreadPool() {
 }
 
 bool ThreadPool::InWorker() { return t_in_worker; }
+
+void ThreadPool::WhileIdle(const std::function<void()>& fn) {
+  HWP_CHECK_MSG(!InWorker(), "WhileIdle called from inside a parallel region");
+  std::lock_guard<std::mutex> submit_lock(submit_mu_);
+  fn();
+}
+
+bool ThreadPool::IsWorker(std::thread::id id) const {
+  return std::any_of(workers_.begin(), workers_.end(),
+                     [id](const std::thread& t) { return t.get_id() == id; });
+}
 
 void ThreadPool::Dispatch(void (*invoke)(void*, int64_t), void* ctx,
                           int64_t begin, int64_t end) {

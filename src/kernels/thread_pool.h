@@ -28,6 +28,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -70,6 +71,15 @@ class ThreadPool {
         [](void* ctx, int64_t i) { (*static_cast<B*>(ctx))(i); },
         const_cast<std::remove_const_t<B>*>(&body), begin, end);
   }
+
+  // Calls fn() while no parallel region runs on this pool, so every
+  // worker is parked and none touches its thread-local state until fn
+  // returns. Throws if called from inside a region (it would wait on
+  // itself).
+  void WhileIdle(const std::function<void()>& fn);
+
+  // True if `id` is one of this pool's worker threads.
+  bool IsWorker(std::thread::id id) const;
 
  private:
   struct Region;

@@ -6,6 +6,7 @@
 #include "common/strings.h"
 #include "core/admm.h"
 #include "core/block_partition.h"
+#include "kernels/scratch.h"
 #include "nn/checkpoint.h"
 #include "nn/trainer.h"
 #include "obs/trace.h"
@@ -267,6 +268,10 @@ InferenceSession::Builder::Build() {
       session->masks_.push_back(DeriveZeroBlockMask(c->weight().value, part));
     }
   }
+
+  // Training is over: free the im2col/GEMM scratch every pool thread
+  // grew, so serving starts from its own, much smaller working set.
+  kernels::ReleaseIdleScratch();
 
   // 3. Compile onto the fixed-point accelerator.
   fpga::CompiledModelOptions copts;

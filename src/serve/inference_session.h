@@ -128,7 +128,8 @@ class InferenceSession {
   // --- serving --------------------------------------------------------
   // Runs one [C][D][H][W] clip through the accelerator.
   // Errors: kResourceExhausted (queue full), kDeadlineExceeded,
-  // kUnavailable (after Drain), kInvalidArgument (bad clip shape).
+  // kUnavailable (after Drain), kInvalidArgument (bad clip shape, or a
+  // NaN/±Inf value).
   StatusOr<serve::InferenceResult> Submit(const TensorF& clip,
                                           int64_t deadline_us = 0);
   std::future<StatusOr<serve::InferenceResult>> SubmitAsync(

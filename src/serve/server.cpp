@@ -136,6 +136,17 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
         "clip %s is not a non-empty [C][D][H][W] clip with C = %lld",
         clip.shape().ToString().c_str(), static_cast<long long>(channels))));
   }
+  // Fixed16::FromFloat would quietly turn NaN into 0 and ±Inf into the
+  // saturation limits, so a non-finite clip is refused here instead.
+  const float* values = clip.data();
+  const float* bad = std::find_if_not(
+      values, values + clip.numel(), [](float v) { return std::isfinite(v); });
+  if (bad != values + clip.numel()) {
+    return reject(InvalidArgumentError(
+        StrFormat("clip holds a non-finite value (%g) at flat index %lld",
+                  static_cast<double>(*bad),
+                  static_cast<long long>(bad - values))));
+  }
   if (FaultInjector::Get().Trip(kFaultQueueAdmit)) {
     m.faults_injected.Add(1);
     {

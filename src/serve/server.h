@@ -36,10 +36,10 @@
 //    mid-batch returns kDeadlineExceeded instead of a stale OK.
 //
 // Admission control: a clip that is not [C][D][H][W] with the model's
-// input channels and non-zero extents is rejected with
-// kInvalidArgument; the bounded queue rejects with kResourceExhausted
-// instead of blocking producers; the fault point `serve.queue_admit`
-// can inject admission failures. Shutdown(drain) stops admission and
+// input channels and non-zero extents, or that holds a NaN or ±Inf, is
+// rejected with kInvalidArgument; the bounded queue rejects with
+// kResourceExhausted instead of blocking producers; the fault point
+// `serve.queue_admit` can inject admission failures. Shutdown(drain) stops admission and
 // completes every already-accepted request.
 //
 // Metrics: serve.accepted/rejected/deadline_exceeded/completed/batches

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdio>
 #include <future>
+#include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -287,6 +289,33 @@ TEST_F(ServeTest, MalformedClipFailsOnlyThatRequest) {
   const auto stats = server.Stats();
   EXPECT_EQ(stats.accepted, 1);
   EXPECT_EQ(stats.rejected, 2);
+  EXPECT_EQ(stats.completed, 1);
+}
+
+TEST_F(ServeTest, NonFiniteClipIsRejectedAtAdmission) {
+  serve::ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.max_batch = 2;
+  cfg.max_delay_us = 1'000;
+  serve::InferenceServer server(compiled_, cfg);
+  const float poison[] = {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()};
+  for (const float value : poison) {
+    SCOPED_TRACE(::testing::Message() << "value=" << value);
+    TensorF clip = MakeClip(1, 7);
+    clip[clip.numel() - 1] = value;  // the last element, so all are scanned
+    auto r = server.Submit(clip);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().ToString().find("non-finite"), std::string::npos)
+        << r.status().ToString();
+  }
+  auto good = server.Submit(MakeClip(1, 7));
+  EXPECT_TRUE(good.ok()) << good.status().ToString();
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.accepted, 1);
+  EXPECT_EQ(stats.rejected, 3);
   EXPECT_EQ(stats.completed, 1);
 }
 
