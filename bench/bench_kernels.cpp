@@ -7,9 +7,10 @@
 // Beyond the google-benchmark suite, main() runs an engine-comparison
 // harness (naive vs gemm training step on a tiny R(2+1)D block) and
 // writes a machine-readable summary to --json-out=PATH
-// (default BENCH_kernels.json): GFLOP/s, speedup, Sgemm GFLOP/s on the
-// per-sample training GEMMs of one R(2+1)D spatial conv, and the gemm
-// engine's pack/compute time split taken from the kernels.gemm.* counters.
+// (default BENCH_kernels.json): the kernel ISA variant in use, the
+// train-step speedup, the direct conv engine's forward and backward
+// (dW + dx) GFLOP/s, and Sgemm GFLOP/s on the per-sample GEMMs the
+// im2col lowering ran for one R(2+1)D spatial conv.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "core/projection.h"
 #include "fpga/tiled_conv_sim.h"
 #include "kernels/engine.h"
+#include "kernels/isa.h"
 #include "kernels/sgemm.h"
 #include "kernels/thread_pool.h"
 #include "nn/conv3d.h"
@@ -255,8 +257,10 @@ double TimeTrainStepMs(TrainStepSetup& setup, kernels::Engine engine) {
 }
 
 // Sgemm on the per-sample GEMMs that the served toy model's
-// stage1.conv2.spatial (8 -> 18 ch, 1x3x3, 6x10x10 clip) lowers to in
-// training: K = 8*3*3 = 72 im2col rows, P = 600 positions.
+// stage1.conv2.spatial (8 -> 18 ch, 1x3x3, 6x10x10 clip) lowered to
+// before the direct conv engine: K = 8*3*3 = 72 im2col rows, P = 600
+// positions. Sgemm still serves Linear; these shapes track its
+// micro-kernel.
 struct TrainGemmShape {
   const char* name;
   bool trans_a, trans_b;
@@ -290,8 +294,21 @@ double TimeTrainGemmGflops(const TrainGemmShape& s, Rng& rng) {
   return flops / best_us / 1000.0;
 }
 
-// GFLOP/s of the gemm-engine conv forward from BM_Conv3dForwardGemm's
-// shape, plus the pack/compute split from the kernels.gemm.* counters.
+// Best-of-reps wall time of fn(), in µs.
+template <typename Fn>
+double BestUs(int reps, Fn&& fn) {
+  double best_us = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = obs::NowUs();
+    fn();
+    const double us = obs::NowUs() - t0;
+    best_us = us < best_us ? us : best_us;
+  }
+  return best_us;
+}
+
+// GFLOP/s of the gemm-engine conv forward and backward (dW + dx) on
+// BM_Conv3dForwardGemm's shape.
 void RunEngineComparison(const std::string& json_path) {
   Rng rng(21);
   TrainStepSetup setup(rng);
@@ -299,12 +316,6 @@ void RunEngineComparison(const std::string& json_path) {
   const double naive_ms = TimeTrainStepMs(setup, kernels::Engine::kNaive);
   const double gemm_ms = TimeTrainStepMs(setup, kernels::Engine::kGemm);
   const double speedup = naive_ms / gemm_ms;
-
-  // Conv forward throughput (same shape as BM_Conv3dForwardGemm), with
-  // the gemm pack/compute split read as counter deltas around the runs.
-  auto& reg = obs::MetricsRegistry::Get();
-  const int64_t pack_us0 = reg.CounterTotal("kernels.gemm.pack_us");
-  const int64_t comp_us0 = reg.CounterTotal("kernels.gemm.compute_us");
 
   nn::Conv3dConfig cfg;
   cfg.in_channels = 8;
@@ -314,48 +325,48 @@ void RunEngineComparison(const std::string& json_path) {
   nn::Conv3d conv(cfg, rng, "bench_conv");
   TensorF cx(Shape{1, 8, 8, 16, 16});
   FillUniform(cx, rng, -1.0f, 1.0f);
+  TensorF cdy(Shape{1, 8, 8, 16, 16});
+  FillUniform(cdy, rng, -1.0f, 1.0f);
+  // One pass (forward, dW or dx) is 2 FLOPs per weight tap per output.
   const double conv_flops = 2.0 * 8 * 8 * 8 * 16 * 16 * 3 * 3 * 3;
 
-  double conv_best_us = 1e300;
+  double fwd_us = 0.0, bwd_us = 0.0;
   {
     EngineOverride eo(kernels::Engine::kGemm);
-    for (int r = 0; r < 50; ++r) {
-      const double t0 = obs::NowUs();
+    fwd_us = BestUs(50, [&] {
       TensorF y = conv.Forward(cx, false);
       benchmark::DoNotOptimize(y.data());
-      const double us = obs::NowUs() - t0;
-      conv_best_us = us < conv_best_us ? us : conv_best_us;
-    }
+    });
+    conv.Forward(cx, true);  // caches the input for Backward
+    bwd_us = BestUs(50, [&] {
+      TensorF dx = conv.Backward(cdy);
+      benchmark::DoNotOptimize(dx.data());
+    });
   }
-  const double conv_gflops = conv_flops / conv_best_us / 1000.0;
+  const double conv_gflops = conv_flops / fwd_us / 1000.0;
+  const double conv_bwd_gflops = 2.0 * conv_flops / bwd_us / 1000.0;
 
-  const int64_t pack_us = reg.CounterTotal("kernels.gemm.pack_us") - pack_us0;
-  const int64_t comp_us =
-      reg.CounterTotal("kernels.gemm.compute_us") - comp_us0;
-  const double split_total = static_cast<double>(pack_us + comp_us);
-  const double pack_frac =
-      split_total > 0.0 ? static_cast<double>(pack_us) / split_total : 0.0;
-
-  // After the split is read, so these runs stay out of it.
   double train_gflops[std::size(kTrainGemmShapes)];
   for (size_t i = 0; i < std::size(kTrainGemmShapes); ++i) {
     train_gflops[i] = TimeTrainGemmGflops(kTrainGemmShapes[i], rng);
   }
+  const char* isa = kernels::IsaName(kernels::ActiveIsa());
 
   std::printf("\n-- engine comparison (tiny R(2+1)D residual block) --\n");
   std::printf("threads:              %d\n", ThreadPool::Get().threads());
+  std::printf("kernel isa:           %s\n", isa);
   std::printf("train step naive:     %.2f ms\n", naive_ms);
   std::printf("train step gemm:      %.2f ms\n", gemm_ms);
   std::printf("speedup:              %.2fx\n", speedup);
   std::printf("conv forward (gemm):  %.2f GFLOP/s\n", conv_gflops);
+  std::printf("conv backward (gemm): %.2f GFLOP/s (dW + dx)\n",
+              conv_bwd_gflops);
   for (size_t i = 0; i < std::size(kTrainGemmShapes); ++i) {
     const TrainGemmShape& g = kTrainGemmShapes[i];
     std::printf("sgemm %-7s %3lldx%3lldx%3lld: %.2f GFLOP/s\n", g.name,
                 static_cast<long long>(g.m), static_cast<long long>(g.n),
                 static_cast<long long>(g.k), train_gflops[i]);
   }
-  std::printf("gemm pack/compute:    %.0f%% / %.0f%%\n", 100.0 * pack_frac,
-              100.0 * (1.0 - pack_frac));
 
   std::ofstream out(json_path);
   if (!out) {
@@ -365,6 +376,7 @@ void RunEngineComparison(const std::string& json_path) {
   }
   out << "{\n"
       << "  \"threads\": " << ThreadPool::Get().threads() << ",\n"
+      << "  \"isa\": \"" << isa << "\",\n"
       << "  \"train_step\": {\n"
       << "    \"config\": \"R(2+1)D residual block 8->16 ch, stride 2, "
          "input [2,8,4,16,16]\",\n"
@@ -376,6 +388,11 @@ void RunEngineComparison(const std::string& json_path) {
       << "    \"config\": \"8->8 ch, 3x3x3, pad 1, input [1,8,8,16,16]\",\n"
       << "    \"gemm_gflops\": " << conv_gflops << "\n"
       << "  },\n"
+      << "  \"conv3d_backward\": {\n"
+      << "    \"config\": \"8->8 ch, 3x3x3, pad 1, input [1,8,8,16,16], "
+         "dW + dx\",\n"
+      << "    \"gemm_gflops\": " << conv_bwd_gflops << "\n"
+      << "  },\n"
       << "  \"train_gemm\": {\n"
       << "    \"config\": \"stage1.conv2.spatial per-sample GEMMs (m x n x k): "
          "forward 18x600x72, dw 18x72x600, dx 72x600x18\",\n";
@@ -384,12 +401,7 @@ void RunEngineComparison(const std::string& json_path) {
         << train_gflops[i]
         << (i + 1 < std::size(kTrainGemmShapes) ? ",\n" : "\n");
   }
-  out << "  },\n"
-      << "  \"gemm_split\": {\n"
-      << "    \"pack_us\": " << pack_us << ",\n"
-      << "    \"compute_us\": " << comp_us << ",\n"
-      << "    \"pack_fraction\": " << pack_frac << "\n"
-      << "  }\n"
+  out << "  }\n"
       << "}\n";
   std::printf("wrote %s\n", json_path.c_str());
 }

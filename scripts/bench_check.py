@@ -9,7 +9,9 @@ tolerance (default 15%).
 A fresh summary recorded at a different thread count than its baseline
 is an error, not a comparison: the guarded ratios depend on the thread
 count (pruned_vs_dense most of all), so such a pair says nothing about
-the code.
+the code. The same holds for the kernel ISA variant a summary records
+(`isa`, chosen at run time from the host CPU): the train-step speedup
+grows with the kernels' vector width.
 
 Only *ratio* metrics are guarded — speedups of one configuration over
 another measured in the same run (gemm-vs-naive, fast-vs-sim executor,
@@ -66,7 +68,7 @@ def main():
 
     checked = 0
     failures = []
-    mismatched = set()  # files whose thread counts differ
+    mismatched = set()  # files whose thread counts or ISA variants differ
     for fname, dotted, label in GUARDED:
         base_path = os.path.join(args.baseline_dir, fname)
         fresh_path = os.path.join(args.fresh_dir, fname)
@@ -90,6 +92,16 @@ def main():
                     f"the baseline was recorded with {base_threads}; rerun "
                     f"at {base_threads} (scripts/bench.sh does) instead of "
                     "comparing")
+            continue
+        base_isa, fresh_isa = base_doc.get("isa"), fresh_doc.get("isa")
+        if base_isa != fresh_isa:
+            if fname not in mismatched:
+                mismatched.add(fname)
+                failures.append(
+                    f"{fname}: fresh run used the {fresh_isa} kernels but "
+                    f"the baseline was recorded with {base_isa}; compare on "
+                    "a host that runs the same variant, or re-record the "
+                    "baseline there")
             continue
         base = lookup(base_doc, dotted)
         fresh = lookup(fresh_doc, dotted)

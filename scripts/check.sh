@@ -26,7 +26,9 @@ done
 # the pool, and UBSan (-fno-sanitize-recover) aborts it if an int32
 # chunk bound ever lets a partial sum overflow. So does the
 # sample-parallel conv engine (per-sample dx slices, dW partial slices,
-# the scratch release after training) at four pool threads.
+# the scratch release after training) at four pool threads;
+# conv3d_gemm_order_test runs every ISA variant of its kernels that the
+# host supports (sse2/avx2/avx512), each against the im2col reference.
 echo "==> thread-pool + packed-executor + conv-engine stress (sanitize)"
 ctest --preset sanitize -R 'thread_pool|conv_engine_parity|packed_parity' \
   --repeat until-fail:3
@@ -44,8 +46,8 @@ ctest --preset sanitize -R 'serve' --repeat until-fail:3
 # the serving dispatcher/watchdog, the fault-injection paths where the
 # watchdog and replica lanes race for request promises, and the
 # sample-parallel conv engine with its scratch release, at four pool
-# threads. Guarded by a probe because not every toolchain ships a
-# working libtsan.
+# threads and in every ISA variant the host supports. Guarded by a
+# probe because not every toolchain ships a working libtsan.
 echo "==> thread sanitizer (serve + pool + fault paths + conv engine)"
 if printf 'int main(){return 0;}' \
     | c++ -fsanitize=thread -x c++ - -o /tmp/hwp_tsan_probe 2>/dev/null \

@@ -4,8 +4,9 @@
 //   kNaive — the original 7-deep scalar loops with double accumulators.
 //            Slow, but trivially auditable: it is the bit-exactness
 //            reference the gemm engine is parity-tested against.
-//   kGemm  — im2col lowering + cache-blocked packed sgemm on the
-//            persistent thread pool (src/kernels). The default.
+//   kGemm  — the direct conv engine (kernels/conv3d_gemm.h) and the
+//            cache-blocked Sgemm for Linear, ISA-dispatched and run on
+//            the persistent thread pool (src/kernels). The default.
 //
 // The process-wide default comes from HWP_CONV_ENGINE=naive|gemm
 // (default gemm); tests and benches override it with SetEngine.

@@ -1,7 +1,7 @@
 // Reusable thread-local scratch buffers for kernel lowering.
 //
-// The GEMM conv engine and the fast-path executor need per-call scratch
-// (im2col columns, packed GEMM panels, accumulator tiles). Allocating
+// The conv engine and the fast-path executor need per-call scratch
+// (padded feature-map planes, packed GEMM panels, accumulator tiles). Allocating
 // them per call would put a malloc/free pair on every hot-path
 // invocation; instead each thread keeps one ScratchBuffer per use site
 // (declared `thread_local`), which grows geometrically and is then
@@ -60,8 +60,8 @@ class ScratchRegistration {
 
 // One reusable, geometrically-growing buffer. Intended use:
 //
-//   thread_local ScratchBuffer<float> cols;
-//   float* p = cols.Resize(K * P);   // valid until the next Resize
+//   thread_local ScratchBuffer<float> planes;
+//   float* p = planes.Resize(n);     // valid until the next Resize
 //
 // Resize never shrinks; contents are unspecified after Resize (callers
 // overwrite). T must be trivially destructible.

@@ -15,8 +15,13 @@ TensorF ReLU::Backward(const TensorF& dy) {
   HWP_SHAPE_CHECK_MSG(dy.shape() == x.shape(),
                       name_ << ": grad shape mismatch");
   TensorF dx(x.shape());
-  for (int64_t i = 0; i < x.numel(); ++i)
-    dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
+  // dy is read unconditionally so the select vectorizes; a conditional
+  // read compiles to a branch per element that mispredicts on the mixed
+  // signs of real activations.
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const float g = dy[i];
+    dx[i] = x[i] > 0.0f ? g : 0.0f;
+  }
   return dx;
 }
 

@@ -1,6 +1,7 @@
 #include "nn/batchnorm3d.h"
 
 #include <cmath>
+#include <vector>
 
 namespace hwp3d::nn {
 
@@ -24,6 +25,44 @@ BatchNorm3d::BatchNorm3d(int64_t channels, std::string name, float eps,
 // per-element definition, so sums and outputs are bitwise those of a
 // plain 5-index loop (tests/batchnorm3d_test.cpp holds that reference).
 
+namespace {
+
+// Calls group.template operator()<G>(c0) for channel groups [c0, c0 + G)
+// covering [0, C), G <= 8.
+template <typename Group>
+void ForChannelGroups(int64_t C, Group&& group) {
+  int64_t c0 = 0;
+  for (; c0 + 8 <= C; c0 += 8) group.template operator()<8>(c0);
+  switch (C - c0) {
+    case 7: group.template operator()<7>(c0); break;
+    case 6: group.template operator()<6>(c0); break;
+    case 5: group.template operator()<5>(c0); break;
+    case 4: group.template operator()<4>(c0); break;
+    case 3: group.template operator()<3>(c0); break;
+    case 2: group.template operator()<2>(c0); break;
+    case 1: group.template operator()<1>(c0); break;
+    default: break;
+  }
+}
+
+// Calls body(j, e) for the elements e of channels c0 + j, j < G, in one
+// pass over the (b, i) slabs. Each channel still sees its own elements
+// in (b, i) order, so a sum it accumulates is the per-channel loop's,
+// bit for bit; the G channels' chains of double adds interleave, which
+// hides the latency of each add.
+template <int64_t G, typename Body>
+void ForInterleavedSlabs(int64_t B, int64_t C, int64_t S, int64_t c0,
+                         Body&& body) {
+  for (int64_t b = 0; b < B; ++b) {
+    const int64_t base = (b * C + c0) * S;
+    for (int64_t i = 0; i < S; ++i) {
+      for (int64_t j = 0; j < G; ++j) body(j, base + j * S + i);
+    }
+  }
+}
+
+}  // namespace
+
 TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5 && x.dim(1) == channels_,
                       name_ << ": bad input " << x.shape().ToString());
@@ -35,31 +74,32 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   TensorF mean(Shape{C});
   TensorF inv_std(Shape{C});
   if (train) {
-    for (int64_t c = 0; c < C; ++c) {
-      double s = 0.0;
-      for (int64_t b = 0; b < B; ++b) {
-        const float* xs = xd + (b * C + c) * S;
-        for (int64_t i = 0; i < S; ++i) s += xs[i];
+    ForChannelGroups(C, [&]<int64_t G>(int64_t c0) {
+      double s[G] = {};
+      ForInterleavedSlabs<G>(B, C, S, c0,
+                             [&](int64_t j, int64_t e) { s[j] += xd[e]; });
+      for (int64_t j = 0; j < G; ++j) {
+        mean[c0 + j] = static_cast<float>(s[j] / per_channel);
       }
-      mean[c] = static_cast<float>(s / per_channel);
-    }
-    for (int64_t c = 0; c < C; ++c) {
-      const float mu = mean[c];
-      double s = 0.0;
-      for (int64_t b = 0; b < B; ++b) {
-        const float* xs = xd + (b * C + c) * S;
-        for (int64_t i = 0; i < S; ++i) {
-          const double dev = xs[i] - mu;
-          s += dev * dev;
-        }
+    });
+    ForChannelGroups(C, [&]<int64_t G>(int64_t c0) {
+      float mu[G];
+      for (int64_t j = 0; j < G; ++j) mu[j] = mean[c0 + j];
+      double s[G] = {};
+      ForInterleavedSlabs<G>(B, C, S, c0, [&](int64_t j, int64_t e) {
+        const double dev = xd[e] - mu[j];
+        s[j] += dev * dev;
+      });
+      for (int64_t j = 0; j < G; ++j) {
+        const int64_t c = c0 + j;
+        const float var = static_cast<float>(s[j] / per_channel);
+        inv_std[c] = 1.0f / std::sqrt(var + eps_);
+        running_mean_[c] =
+            (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
+        running_var_[c] =
+            (1.0f - momentum_) * running_var_[c] + momentum_ * var;
       }
-      const float var = static_cast<float>(s / per_channel);
-      inv_std[c] = 1.0f / std::sqrt(var + eps_);
-      running_mean_[c] =
-          (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
-      running_var_[c] =
-          (1.0f - momentum_) * running_var_[c] + momentum_ * var;
-    }
+    });
   } else {
     for (int64_t c = 0; c < C; ++c) {
       mean[c] = running_mean_[c];
@@ -99,24 +139,35 @@ TensorF BatchNorm3d::Backward(const TensorF& dy) {
 
   TensorF dx(x.shape());
   float* dxd = dx.data();
+  // Reductions: sum dy, sum dy*xhat.
+  std::vector<double> sum_dy(static_cast<size_t>(C));
+  std::vector<double> sum_dy_xhat(static_cast<size_t>(C));
+  ForChannelGroups(C, [&]<int64_t G>(int64_t c0) {
+    float mu[G], is[G];
+    for (int64_t j = 0; j < G; ++j) {
+      mu[j] = batch_mean_[c0 + j];
+      is[j] = batch_inv_std_[c0 + j];
+    }
+    double s_dy[G] = {}, s_dy_xhat[G] = {};
+    ForInterleavedSlabs<G>(B, C, S, c0, [&](int64_t j, int64_t e) {
+      const float xhat = (xd[e] - mu[j]) * is[j];
+      const float gy = dyd[e];
+      s_dy[j] += gy;
+      s_dy_xhat[j] += static_cast<double>(gy) * xhat;
+    });
+    for (int64_t j = 0; j < G; ++j) {
+      sum_dy[static_cast<size_t>(c0 + j)] = s_dy[j];
+      sum_dy_xhat[static_cast<size_t>(c0 + j)] = s_dy_xhat[j];
+    }
+  });
   for (int64_t c = 0; c < C; ++c) {
     const float mu = batch_mean_[c];
     const float is = batch_inv_std_[c];
     const float g = gamma_.value[c];
-    // Reductions: sum dy, sum dy*xhat.
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t b = 0; b < B; ++b) {
-      const float* xs = xd + (b * C + c) * S;
-      const float* gs = dyd + (b * C + c) * S;
-      for (int64_t i = 0; i < S; ++i) {
-        const float xhat = (xs[i] - mu) * is;
-        const float gy = gs[i];
-        sum_dy += gy;
-        sum_dy_xhat += static_cast<double>(gy) * xhat;
-      }
-    }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+    const double sum_dy_c = sum_dy[static_cast<size_t>(c)];
+    const double sum_dy_xhat_c = sum_dy_xhat[static_cast<size_t>(c)];
+    gamma_.grad[c] += static_cast<float>(sum_dy_xhat_c);
+    beta_.grad[c] += static_cast<float>(sum_dy_c);
 
     // dx = (g*is/n) * (n*dy - sum_dy - xhat * sum_dy_xhat)
     const double k = static_cast<double>(g) * is / n;
@@ -127,7 +178,7 @@ TensorF BatchNorm3d::Backward(const TensorF& dy) {
       for (int64_t i = 0; i < S; ++i) {
         const float xhat = (xs[i] - mu) * is;
         dxs[i] = static_cast<float>(
-            k * (n * gs[i] - sum_dy - xhat * sum_dy_xhat));
+            k * (n * gs[i] - sum_dy_c - xhat * sum_dy_xhat_c));
       }
     }
   }

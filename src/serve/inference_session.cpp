@@ -1,6 +1,9 @@
 #include "serve/inference_session.h"
 
 #include <utility>
+#ifdef __GLIBC__
+#include <malloc.h>  // malloc_trim
+#endif
 
 #include "common/rng.h"
 #include "common/strings.h"
@@ -269,9 +272,15 @@ InferenceSession::Builder::Build() {
     }
   }
 
-  // Training is over: free the im2col/GEMM scratch every pool thread
-  // grew, so serving starts from its own, much smaller working set.
+  // Training is over: free the conv-engine scratch every pool thread
+  // grew, so serving starts from its own, much smaller working set, and
+  // hand the freed pages back: glibc keeps them in the per-thread
+  // arenas the pool workers allocated from, which are not trimmed on
+  // free.
   kernels::ReleaseIdleScratch();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 
   // 3. Compile onto the fixed-point accelerator.
   fpga::CompiledModelOptions copts;

@@ -1,12 +1,16 @@
-// Bitwise order pinning of the sample-parallel conv engine, and the
-// scratch release that follows training.
+// Bitwise order pinning of the direct conv engine, and the scratch
+// release that follows training.
 //
-// Conv3dForwardGemm / Conv3dBackwardGemm fan their sample loop out over
-// the ThreadPool. Their outputs must equal, bit for bit, the serial
-// loop they replace: one sample at a time, dW accumulated by
-// Sgemm(accumulate=true) over all of P. The geometries put P across a
-// kKC boundary at a non-multiple, so dW's per-block partials and their
-// (sample, block) fold are exercised.
+// Conv3dForwardGemm / Conv3dBackwardGemm convolve directly and fan
+// their sample loop out over the ThreadPool. Their outputs must equal,
+// bit for bit, the im2col + GEMM lowering they replace, run serially
+// one sample at a time: y = W·im2col(x), dW += dy·im2col(x)ᵀ per
+// sample, dx = col2im(Wᵀ·dy), every GEMM in Sgemm's documented order
+// (kKC blocks of k, each summed from 0.0f). That lowering lives here,
+// as the reference, and every ISA variant the host supports is held to
+// it. The geometries cover every stride and padding the models use and
+// put P and K across kKC boundaries; dW and dx accumulate into values
+// that include −0.0f, which a stray +0.0f would flip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +19,12 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "kernels/conv3d_gemm.h"
+#include "kernels/isa.h"
 #include "kernels/scratch.h"
 #include "kernels/sgemm.h"
 #include "kernels/thread_pool.h"
@@ -27,10 +33,18 @@ namespace hwp3d {
 namespace {
 
 using kernels::Conv3dGeom;
+using kernels::Isa;
 
 std::vector<float> Random(int64_t n, Rng& rng) {
   std::vector<float> v(static_cast<size_t>(n));
   for (float& f : v) f = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  return v;
+}
+
+// Random values with every fifth one −0.0f.
+std::vector<float> RandomWithNegativeZeros(int64_t n, Rng& rng) {
+  std::vector<float> v = Random(n, rng);
+  for (size_t i = 0; i < v.size(); i += 5) v[i] = -0.0f;
   return v;
 }
 
@@ -43,38 +57,127 @@ void ExpectBitwise(const std::vector<float>& want,
   }
 }
 
-// The serial loop the engine replaces, one sample at a time.
+// Valid output range [lo, hi) along one axis: the o with
+// 0 <= o·s + shift < extent, clamped to [0, out).
+void ValidRange(int64_t out, int64_t s, int64_t shift, int64_t extent,
+                int64_t* lo, int64_t* hi) {
+  *lo = shift < 0 ? (-shift + s - 1) / s : 0;
+  *hi = extent > shift ? (extent - shift + s - 1) / s : 0;
+  *lo = std::min(*lo, out);
+  *hi = std::clamp(*hi, *lo, out);
+}
+
+// cols[K][P] of one sample: cols[((n·Kd + kd)·Kh + kh)·Kw + kw][p] =
+// x[n][od·Sd + kd − Pd][oh·Sh + kh − Ph][ow·Sw + kw − Pw], 0 if padded.
+void Im2col3d(const Conv3dGeom& g, const float* x, float* cols) {
+  const int64_t P = g.positions();
+  const int64_t khw = g.k_h * g.k_w, kdhw = g.k_d * khw;
+  for (int64_t r = 0; r < g.taps(); ++r) {
+    const int64_t n = r / kdhw, kd = (r / khw) % g.k_d;
+    const int64_t kh = (r / g.k_w) % g.k_h, kw = r % g.k_w;
+    float* dst = cols + r * P;
+    for (int64_t od = 0; od < g.out_d; ++od)
+      for (int64_t oh = 0; oh < g.out_h; ++oh)
+        for (int64_t ow = 0; ow < g.out_w; ++ow) {
+          const int64_t id = od * g.s_d + kd - g.p_d;
+          const int64_t ih = oh * g.s_h + kh - g.p_h;
+          const int64_t iw = ow * g.s_w + kw - g.p_w;
+          const bool in = id >= 0 && id < g.in_d && ih >= 0 &&
+                          ih < g.in_h && iw >= 0 && iw < g.in_w;
+          *dst++ = in ? x[((n * g.in_d + id) * g.in_h + ih) * g.in_w + iw]
+                      : 0.0f;
+        }
+  }
+}
+
+// Scatter-adds cols[K][P] into one dx sample, row by row in r order.
+void Col2im3d(const Conv3dGeom& g, const float* cols, float* dx) {
+  const int64_t P = g.positions();
+  for (int64_t n = 0; n < g.in_c; ++n) {
+    float* dx_n = dx + n * g.in_d * g.in_h * g.in_w;
+    for (int64_t kd = 0; kd < g.k_d; ++kd)
+      for (int64_t kh = 0; kh < g.k_h; ++kh)
+        for (int64_t kw = 0; kw < g.k_w; ++kw) {
+          const int64_t r = ((n * g.k_d + kd) * g.k_h + kh) * g.k_w + kw;
+          const float* src = cols + r * P;
+          const int64_t sd = kd - g.p_d, sh = kh - g.p_h, sw = kw - g.p_w;
+          int64_t ow_lo, ow_hi;
+          ValidRange(g.out_w, g.s_w, sw, g.in_w, &ow_lo, &ow_hi);
+          for (int64_t od = 0; od < g.out_d; ++od) {
+            const int64_t id = od * g.s_d + sd;
+            if (id < 0 || id >= g.in_d) continue;
+            for (int64_t oh = 0; oh < g.out_h; ++oh) {
+              const int64_t ih = oh * g.s_h + sh;
+              if (ih < 0 || ih >= g.in_h) continue;
+              float* drow = dx_n + (id * g.in_h + ih) * g.in_w + sw;
+              const float* srow = src + (od * g.out_h + oh) * g.out_w;
+              for (int64_t ow = ow_lo; ow < ow_hi; ++ow) {
+                drow[ow * g.s_w] += srow[ow];
+              }
+            }
+          }
+        }
+  }
+}
+
+// C[m×n] (+)= A·B in Sgemm's order, A(i, p) and B(p, j) given as
+// element accessors: per kKC block of k, products in ascending p from
+// 0.0f, the block sums added into C (zeroed unless accumulating).
+template <typename A, typename B>
+void ReferenceGemm(int64_t m, int64_t n, int64_t k, A a, B b, float* c,
+                   bool accumulate) {
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j) {
+      float& cij = c[i * n + j];
+      if (!accumulate) cij = 0.0f;
+      for (int64_t pc = 0; pc < k; pc += kernels::kKC) {
+        float block = 0.0f;
+        for (int64_t p = pc; p < std::min(pc + kernels::kKC, k); ++p) {
+          block += a(i, p) * b(p, j);
+        }
+        cij += block;
+      }
+    }
+}
+
+// The serial lowering the engine replaces, one sample at a time.
 void ReferenceForward(const Conv3dGeom& g, const float* x, const float* w,
                       const float* bias, float* y) {
-  const int64_t K = g.cols_rows(), P = g.cols_cols();
+  const int64_t K = g.taps(), P = g.positions();
   std::vector<float> cols(static_cast<size_t>(K * P));
   for (int64_t b = 0; b < g.batch; ++b) {
-    kernels::Im2col3d(g, x + b * g.in_sample_size(), cols.data());
+    Im2col3d(g, x + b * g.in_sample_size(), cols.data());
     float* yb = y + b * g.out_sample_size();
     if (bias != nullptr) {
       for (int64_t m = 0; m < g.out_c; ++m) {
         std::fill(yb + m * P, yb + (m + 1) * P, bias[m]);
       }
     }
-    kernels::Sgemm(false, false, g.out_c, P, K, w, K, cols.data(), P, yb, P,
-                   /*accumulate=*/bias != nullptr);
+    ReferenceGemm(
+        g.out_c, P, K, [&](int64_t m, int64_t k) { return w[m * K + k]; },
+        [&](int64_t k, int64_t p) { return cols[k * P + p]; }, yb,
+        /*accumulate=*/bias != nullptr);
   }
 }
 
 void ReferenceBackward(const Conv3dGeom& g, const float* x, const float* w,
                        const float* dy, float* dw, float* dx) {
-  const int64_t K = g.cols_rows(), P = g.cols_cols();
+  const int64_t M = g.out_c, K = g.taps(), P = g.positions();
   std::vector<float> cols(static_cast<size_t>(K * P));
   std::vector<float> dcols(static_cast<size_t>(K * P));
   for (int64_t b = 0; b < g.batch; ++b) {
     const float* dyb = dy + b * g.out_sample_size();
-    kernels::Im2col3d(g, x + b * g.in_sample_size(), cols.data());
-    kernels::Sgemm(false, true, g.out_c, K, P, dyb, P, cols.data(), P, dw, K,
-                   /*accumulate=*/true);
+    Im2col3d(g, x + b * g.in_sample_size(), cols.data());
+    ReferenceGemm(
+        M, K, P, [&](int64_t m, int64_t p) { return dyb[m * P + p]; },
+        [&](int64_t p, int64_t k) { return cols[k * P + p]; }, dw,
+        /*accumulate=*/true);
     if (dx != nullptr) {
-      kernels::Sgemm(true, false, K, P, g.out_c, w, K, dyb, P, dcols.data(),
-                     P, /*accumulate=*/false);
-      kernels::Col2im3d(g, dcols.data(), dx + b * g.in_sample_size());
+      ReferenceGemm(
+          K, P, M, [&](int64_t k, int64_t m) { return w[m * K + k]; },
+          [&](int64_t m, int64_t p) { return dyb[m * P + p]; }, dcols.data(),
+          /*accumulate=*/false);
+      Col2im3d(g, dcols.data(), dx + b * g.in_sample_size());
     }
   }
 }
@@ -96,12 +199,27 @@ Conv3dGeom Geom(int64_t batch, int64_t in_c, int64_t out_c,
   return g;
 }
 
-// P = 257 (one column past a kKC block), P = 600 (two blocks and a
-// remainder), and a strided P = 600.
+// Every stride and padding the served model trains with, plus the
+// edges of the engine's tiling. M is off the 4-row register tile in
+// most; P crosses a kKC block at 257 and 600; K crosses one at
+// 12·3·3·3 = 324, which restarts the forward sums mid-channel.
 std::vector<Conv3dGeom> Geometries(int64_t batch) {
-  return {Geom(batch, 3, 5, {1, 1, 259}, {1, 1, 3}, {1, 1, 1}, {0, 0, 0}),
-          Geom(batch, 4, 8, {6, 10, 10}, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}),
-          Geom(batch, 8, 8, {6, 20, 20}, {1, 3, 3}, {1, 2, 2}, {0, 1, 1})};
+  return {
+      // in_c = 3, M = 5, P = 257.
+      Geom(batch, 3, 5, {1, 1, 259}, {1, 1, 3}, {1, 1, 1}, {0, 0, 0}),
+      // 3×3×3 with padding on every axis, P = 600.
+      Geom(batch, 4, 8, {6, 10, 10}, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}),
+      // Spatial 1×3×3 at stride (1, 2, 2), P = 600.
+      Geom(batch, 8, 8, {6, 20, 20}, {1, 3, 3}, {1, 2, 2}, {0, 1, 1}),
+      // The (2+1)D spatial conv, M = 18 mid channels.
+      Geom(batch, 8, 18, {6, 10, 10}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}),
+      // Temporal 3×1×1 at stride (2, 1, 1), M = 7.
+      Geom(batch, 18, 7, {6, 5, 5}, {3, 1, 1}, {2, 1, 1}, {1, 0, 0}),
+      // The 1×1×1 stride-2 shortcut.
+      Geom(batch, 8, 8, {6, 10, 10}, {1, 1, 1}, {2, 2, 2}, {0, 0, 0}),
+      // K = 324 > kKC, odd extents, M = 6.
+      Geom(batch, 12, 6, {3, 5, 7}, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}),
+  };
 }
 
 struct OrderCase {
@@ -110,32 +228,38 @@ struct OrderCase {
   bool with_dx;
 };
 
-class Conv3dGemmOrderTest : public ::testing::TestWithParam<OrderCase> {};
+class Conv3dGemmOrderTest
+    : public ::testing::TestWithParam<std::tuple<OrderCase, Isa>> {};
 
-TEST_P(Conv3dGemmOrderTest, MatchesSerialSampleLoopBitwise) {
+TEST_P(Conv3dGemmOrderTest, MatchesSerialLoweringBitwise) {
   static_assert(kernels::kKC == 256, "geometries assume kKC = 256");
-  const OrderCase c = GetParam();
+  const auto [c, isa] = GetParam();
+  kernels::internal::ScopedIsa use(isa);
   Rng rng(17 + static_cast<uint64_t>(c.batch));
   for (const Conv3dGeom& g : Geometries(c.batch)) {
-    const int64_t P = g.cols_cols();
     SCOPED_TRACE(::testing::Message()
-                 << "B=" << g.batch << " P=" << P << " bias=" << c.bias
+                 << kernels::IsaName(isa) << " B=" << g.batch
+                 << " N=" << g.in_c << " M=" << g.out_c << " K=" << g.taps()
+                 << " P=" << g.positions() << " bias=" << c.bias
                  << " dx=" << c.with_dx);
     const std::vector<float> x = Random(g.batch * g.in_sample_size(), rng);
-    const std::vector<float> w = Random(g.out_c * g.cols_rows(), rng);
+    const std::vector<float> w = Random(g.out_c * g.taps(), rng);
     const std::vector<float> bias = Random(g.out_c, rng);
     const std::vector<float> dy = Random(g.batch * g.out_sample_size(), rng);
     const float* bias_ptr = c.bias ? bias.data() : nullptr;
 
-    std::vector<float> y_want(static_cast<size_t>(g.batch * g.out_sample_size()));
+    std::vector<float> y_want(
+        static_cast<size_t>(g.batch * g.out_sample_size()));
     std::vector<float> y_got(y_want.size());
     ReferenceForward(g, x.data(), w.data(), bias_ptr, y_want.data());
     kernels::Conv3dForwardGemm(g, x.data(), w.data(), bias_ptr, y_got.data());
     ExpectBitwise(y_want, y_got, "y");
 
-    // dW accumulates into what is already there; dx scatter-adds.
-    const std::vector<float> dw0 = Random(g.out_c * g.cols_rows(), rng);
-    const std::vector<float> dx0 = Random(g.batch * g.in_sample_size(), rng);
+    // dW and dx accumulate into what is already there.
+    const std::vector<float> dw0 =
+        RandomWithNegativeZeros(g.out_c * g.taps(), rng);
+    const std::vector<float> dx0 =
+        RandomWithNegativeZeros(g.batch * g.in_sample_size(), rng);
     std::vector<float> dw_want = dw0, dw_got = dw0;
     std::vector<float> dx_want = dx0, dx_got = dx0;
     ReferenceBackward(g, x.data(), w.data(), dy.data(), dw_want.data(),
@@ -150,15 +274,18 @@ TEST_P(Conv3dGemmOrderTest, MatchesSerialSampleLoopBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, Conv3dGemmOrderTest,
-    ::testing::Values(OrderCase{1, true, true}, OrderCase{1, false, false},
-                      OrderCase{3, true, false}, OrderCase{3, false, true},
-                      OrderCase{8, true, true}, OrderCase{8, false, false},
-                      OrderCase{8, false, true}, OrderCase{8, true, false}),
-    [](const ::testing::TestParamInfo<OrderCase>& info) {
-      std::string name = "B";
-      name += std::to_string(info.param.batch);
-      name += info.param.bias ? "_bias" : "_nobias";
-      name += info.param.with_dx ? "_dx" : "_nodx";
+    ::testing::Combine(
+        ::testing::Values(OrderCase{1, true, true}, OrderCase{1, false, false},
+                          OrderCase{3, true, false}, OrderCase{3, false, true},
+                          OrderCase{8, true, true}, OrderCase{8, false, false},
+                          OrderCase{8, false, true}, OrderCase{8, true, false}),
+        ::testing::ValuesIn(kernels::internal::SupportedIsas())),
+    [](const ::testing::TestParamInfo<std::tuple<OrderCase, Isa>>& info) {
+      const OrderCase& c = std::get<0>(info.param);
+      std::string name = kernels::IsaName(std::get<1>(info.param));
+      name += "_B" + std::to_string(c.batch);
+      name += c.bias ? "_bias" : "_nobias";
+      name += c.with_dx ? "_dx" : "_nodx";
       return name;
     });
 
@@ -169,10 +296,10 @@ void RunConvOnce(std::vector<float>* y_out) {
   const Conv3dGeom g =
       Geom(8, 4, 8, {6, 10, 10}, {3, 3, 3}, {1, 1, 1}, {1, 1, 1});
   const std::vector<float> x = Random(g.batch * g.in_sample_size(), rng);
-  const std::vector<float> w = Random(g.out_c * g.cols_rows(), rng);
+  const std::vector<float> w = Random(g.out_c * g.taps(), rng);
   const std::vector<float> dy = Random(g.batch * g.out_sample_size(), rng);
   std::vector<float> y(static_cast<size_t>(g.batch * g.out_sample_size()));
-  std::vector<float> dw(static_cast<size_t>(g.out_c * g.cols_rows()), 0.0f);
+  std::vector<float> dw(static_cast<size_t>(g.out_c * g.taps()), 0.0f);
   std::vector<float> dx(static_cast<size_t>(g.batch * g.in_sample_size()),
                         0.0f);
   kernels::Conv3dForwardGemm(g, x.data(), w.data(), nullptr, y.data());

@@ -63,7 +63,9 @@ TEST(R2Plus1DSpecTest, OutputExtentsFollowTableI) {
       EXPECT_EQ(l.R, 14) << l.name;
     } else if (l.group == "conv5_x") {
       EXPECT_EQ(l.R, 7) << l.name;
-      if (l.Kd == 3) EXPECT_EQ(l.D, 2) << l.name;  // temporal convs
+      if (l.Kd == 3) {  // temporal convs
+        EXPECT_EQ(l.D, 2) << l.name;
+      }
     }
   }
 }

@@ -4,10 +4,11 @@
 // Sgemm promises one summation order per C element: within each kKC
 // block of k, products in increasing p summed into a float that starts
 // at 0.0f; the block sums added into C (zeroed unless accumulating) in
-// increasing block order. The register/cache tiling (kMR, kNR, kMC,
-// kNC) and the thread split must not change a single bit. The shapes
-// below are derived from those constants, so they keep exercising the
-// edge tiles and block crossings when the constants are retuned.
+// increasing block order. The register/cache tiling (MR, NR, kMC, NC)
+// and the thread split must not change a single bit. Every micro-kernel
+// variant the host supports (kernels/isa.h) runs, each with its own
+// tile; the shapes below are derived from that tile, so they keep
+// exercising the edge tiles and block crossings when it is retuned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,16 +18,15 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "kernels/isa.h"
 #include "kernels/sgemm.h"
 
 namespace hwp3d {
 namespace {
 
+using kernels::Isa;
 using kernels::kKC;
 using kernels::kMC;
-using kernels::kMR;
-using kernels::kNC;
-using kernels::kNR;
 
 struct Case {
   int64_t m, n, k;
@@ -110,34 +110,47 @@ void ExpectAllVariantsBitwise(const Case& s, uint64_t seed) {
       for (bool acc : {false, true}) ExpectBitwise(s, ta, tb, acc, seed++);
 }
 
-TEST(SgemmTest, EdgeTilesMatchReference) {
+// Runs each test under one ISA variant; kMR/kNR/kNC are its tile.
+class SgemmTest : public ::testing::TestWithParam<Isa> {
+ protected:
+  SgemmTest()
+      : use_(GetParam()),
+        kMR(kernels::SgemmTileFor(GetParam()).mr),
+        kNR(kernels::SgemmTileFor(GetParam()).nr),
+        kNC(kernels::SgemmTileFor(GetParam()).nc) {}
+
+  kernels::internal::ScopedIsa use_;
+  const int64_t kMR, kNR, kNC;
+};
+
+TEST_P(SgemmTest, EdgeTilesMatchReference) {
   // m and n off the micro-tile grid, single KC block.
   ExpectAllVariantsBitwise({kMR + 3, kNR + 5, 7}, 1);
   ExpectAllVariantsBitwise({1, 1, 1}, 2);
   ExpectAllVariantsBitwise({kMR - 1, kNR - 1, 3}, 3);
 }
 
-TEST(SgemmTest, KCrossingKcMatchesReference) {
+TEST_P(SgemmTest, KCrossingKcMatchesReference) {
   // Two and three KC blocks, the last one partial.
   ExpectAllVariantsBitwise({kMR + 1, kNR + 1, kKC + 37}, 10);
   ExpectAllVariantsBitwise({3, 2 * kNR, 2 * kKC + 1}, 11);
 }
 
-TEST(SgemmTest, MCrossingMcMatchesReference) {
+TEST_P(SgemmTest, MCrossingMcMatchesReference) {
   ExpectAllVariantsBitwise({kMC + kMR + 1, kNR + 3, 9}, 20);
 }
 
-TEST(SgemmTest, NCrossingNcMatchesReference) {
+TEST_P(SgemmTest, NCrossingNcMatchesReference) {
   // n past one NC block with a ragged last micro-panel, k past one KC.
   ExpectAllVariantsBitwise({kMR + 2, kNC + kNR + 1, kKC + 3}, 30);
 }
 
-TEST(SgemmTest, LeadingDimensionsLargerThanExtents) {
+TEST_P(SgemmTest, LeadingDimensionsLargerThanExtents) {
   ExpectAllVariantsBitwise({kMR + 3, kNR + 7, kKC + 5, /*pad=*/3}, 40);
   ExpectAllVariantsBitwise({5, kNC + 2, 11, /*pad=*/kNR + 1}, 41);
 }
 
-TEST(SgemmTest, TrainingShapesMatchReference) {
+TEST_P(SgemmTest, TrainingShapesMatchReference) {
   // The per-sample forward, dW and dX GEMMs of stage1.conv2.spatial in
   // the served toy model (18 mid channels, 8·3·3 = 72 im2col rows,
   // 6×10×10 = 600 positions).
@@ -146,11 +159,17 @@ TEST(SgemmTest, TrainingShapesMatchReference) {
   ExpectBitwise({72, 600, 18}, true, false, false, 52);
 }
 
-TEST(SgemmTest, EmptyKZeroesOrKeepsC) {
+TEST_P(SgemmTest, EmptyKZeroesOrKeepsC) {
   const Case s{kMR + 1, kNR + 1, 0};
   ExpectBitwise(s, false, false, /*accumulate=*/false, 60);
   ExpectBitwise(s, false, false, /*accumulate=*/true, 61);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, SgemmTest, ::testing::ValuesIn(kernels::internal::SupportedIsas()),
+    [](const ::testing::TestParamInfo<Isa>& info) {
+      return std::string(kernels::IsaName(info.param));
+    });
 
 }  // namespace
 }  // namespace hwp3d
