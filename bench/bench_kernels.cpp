@@ -13,11 +13,13 @@
 // im2col lowering ran for one R(2+1)D spatial conv.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/projection.h"
@@ -235,25 +237,48 @@ struct TrainStepSetup {
   }
 };
 
-// Best-of-reps wall time of one training step under `engine`, in ms.
-// Runs one warmup step, then repetitions until >= 0.3 s has accumulated
-// (at least 3 reps).
-double TimeTrainStepMs(TrainStepSetup& setup, kernels::Engine engine) {
-  EngineOverride eo(engine);
-  setup.Step();  // warmup: touches cold memory, settles the pool
-  double best_ms = 1e300;
-  double total_us = 0.0;
-  int reps = 0;
-  while (reps < 3 || total_us < 300000.0) {
+// Median wall times of one training step under each engine, in ms.
+// The engines are timed in alternating rounds, one naive step and then
+// gemm steps for as long, so both medians cover the same stretch of
+// host load. Rounds continue until the naive step has >= kMinNaiveReps
+// reps and >= 1.5 s. Host steal slows the machine for seconds at a
+// time: the best of three ~100 ms naive steps against the best of
+// hundreds of ~0.7 ms gemm steps compared different host states and
+// moved the ratio by up to 40% between runs.
+struct TrainStepTimes {
+  double naive_ms = 0.0;
+  double gemm_ms = 0.0;
+};
+
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+TrainStepTimes TimeTrainSteps(TrainStepSetup& setup) {
+  constexpr size_t kMinNaiveReps = 15;
+  constexpr double kMinNaiveMs = 1500.0;
+  const auto step_ms = [&setup](kernels::Engine engine) {
+    EngineOverride eo(engine);
     const double t0 = obs::NowUs();
     setup.Step();
-    const double us = obs::NowUs() - t0;
-    total_us += us;
-    best_ms = us / 1000.0 < best_ms ? us / 1000.0 : best_ms;
-    ++reps;
-    if (reps >= 200) break;
+    return (obs::NowUs() - t0) / 1000.0;
+  };
+  // Warmup: touches cold memory, settles the pool.
+  step_ms(kernels::Engine::kNaive);
+  step_ms(kernels::Engine::kGemm);
+  std::vector<double> naive, gemm;
+  double naive_total_ms = 0.0;
+  while (naive.size() < kMinNaiveReps || naive_total_ms < kMinNaiveMs) {
+    naive.push_back(step_ms(kernels::Engine::kNaive));
+    naive_total_ms += naive.back();
+    for (double gemm_total_ms = 0.0; gemm_total_ms < naive.back();) {
+      gemm.push_back(step_ms(kernels::Engine::kGemm));
+      gemm_total_ms += gemm.back();
+    }
   }
-  return best_ms;
+  return {MedianOf(std::move(naive)), MedianOf(std::move(gemm))};
 }
 
 // Sgemm on the per-sample GEMMs that the served toy model's
@@ -313,8 +338,7 @@ void RunEngineComparison(const std::string& json_path) {
   Rng rng(21);
   TrainStepSetup setup(rng);
 
-  const double naive_ms = TimeTrainStepMs(setup, kernels::Engine::kNaive);
-  const double gemm_ms = TimeTrainStepMs(setup, kernels::Engine::kGemm);
+  const auto [naive_ms, gemm_ms] = TimeTrainSteps(setup);
   const double speedup = naive_ms / gemm_ms;
 
   nn::Conv3dConfig cfg;

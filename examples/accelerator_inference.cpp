@@ -183,21 +183,18 @@ int main(int argc, char** argv) {
       (double)dense_cycles / accel_cycles,
       (double)dense_macs / accel_macs);
 
-  // The metrics registry was fed by the same engine runs that filled
+  // The metrics registry was fed by the same stage runs that filled
   // the per-request CompiledRunStats, so the totals must agree exactly
   // — even with the runs fanned out across lanes. Both sessions run
-  // the --executor engine (fast by default); the simulator counts
-  // under sim.*, the compiled executor under exec.*, and their sum is
-  // engine-agnostic.
+  // the --executor engine (fast by default); Infer counts every stage
+  // under exec.*, whichever engine ran it.
   const auto& reg = obs::MetricsRegistry::Get();
   const long long stats_loaded = dense_loaded + accel_loaded;
   const long long stats_skipped = dense_skipped + accel_skipped;
   const long long meter_loaded =
-      (long long)(reg.CounterTotal("sim.blocks_loaded") +
-                  reg.CounterTotal("exec.blocks_loaded"));
+      (long long)reg.CounterTotal("exec.blocks_loaded");
   const long long meter_skipped =
-      (long long)(reg.CounterTotal("sim.blocks_skipped") +
-                  reg.CounterTotal("exec.blocks_skipped"));
+      (long long)reg.CounterTotal("exec.blocks_skipped");
   std::printf(
       "metrics cross-check (executor: %s): blocks_loaded %lld "
       "(stats %lld), blocks_skipped %lld (stats %lld)%s\n",

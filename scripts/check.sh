@@ -44,20 +44,23 @@ ctest --preset sanitize -R 'serve' --repeat until-fail:3
 
 # ThreadSanitizer pass over the concurrent subsystems: the thread pool,
 # the serving dispatcher/watchdog, the fault-injection paths where the
-# watchdog and replica lanes race for request promises, and the
-# sample-parallel conv engine with its scratch release, at four pool
-# threads and in every ISA variant the host supports. Guarded by a
-# probe because not every toolchain ships a working libtsan.
-echo "==> thread sanitizer (serve + pool + fault paths + conv engine)"
+# watchdog and replica lanes race for request promises, the metrics
+# histogram and the per-stage exec.* counters that serving lanes write
+# concurrently, and the sample-parallel conv engine with its scratch
+# release, at four pool threads and in every ISA variant the host
+# supports. Guarded by a probe because not every toolchain ships a
+# working libtsan.
+echo "==> thread sanitizer (serve + pool + fault paths + metrics + conv engine)"
 if printf 'int main(){return 0;}' \
     | c++ -fsanitize=thread -x c++ - -o /tmp/hwp_tsan_probe 2>/dev/null \
     && /tmp/hwp_tsan_probe 2>/dev/null; then
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
-    --target serve_test serve_fault_test thread_pool_test \
-    conv3d_gemm_order_test session_checkpoint
+    --target serve_test serve_fault_test thread_pool_test obs_test \
+    compiled_executor_test conv3d_gemm_order_test session_checkpoint
   HWP_THREADS=4 ctest --preset tsan \
-    -R 'serve|thread_pool|conv3d_gemm_order' --repeat until-fail:2
+    -R 'serve|thread_pool|obs_test|compiled_executor|conv3d_gemm_order' \
+    --repeat until-fail:2
   # Three whole session builds, ~65 s each under TSan: run it once.
   HWP_THREADS=4 ctest --preset tsan -R 'thread_count_checkpoint'
 else

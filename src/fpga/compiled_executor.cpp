@@ -9,7 +9,6 @@
 #include "kernels/qgemm_tile.h"
 #include "kernels/scratch.h"
 #include "kernels/thread_pool.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/shape.h"
 
@@ -278,14 +277,6 @@ TiledConvResult PackedConvLayer::Run(const TensorQ& input,
     span.AddArg("modeled_cycles", s.modeled_cycles);
     span.AddArg("packed_tiles", surviving_tiles());
   }
-  auto& reg = obs::MetricsRegistry::Get();
-  obs::LabelSet labels;
-  if (!label.empty()) labels = {{"layer", std::string(label)}};
-  reg.GetCounter("exec.runs", labels).Add(1);
-  reg.GetCounter("exec.macs_executed", labels).Add(s.macs_executed);
-  reg.GetCounter("exec.blocks_loaded", labels).Add(s.blocks_loaded);
-  reg.GetCounter("exec.blocks_skipped", labels).Add(s.blocks_skipped);
-  reg.GetCounter("exec.modeled_cycles", labels).Add(s.modeled_cycles);
   return result;
 }
 

@@ -92,9 +92,10 @@ class PackedConvLayer {
                   const Ports& ports, const core::BlockMask* mask);
 
   // Mirror of TiledConvSim::Run (same shapes, same pre-padded input,
-  // same PostOps), bitwise identical output and identical stats.
-  // `pool` overrides the process-wide ThreadPool (tests use standalone
-  // pools to prove thread-count invariance); null uses ThreadPool::Get.
+  // same PostOps), bitwise identical output and identical stats; like
+  // it, records a trace span but no metrics. `pool` overrides the
+  // process-wide ThreadPool (tests use standalone pools to prove
+  // thread-count invariance); null uses ThreadPool::Get.
   TiledConvResult Run(const TensorQ& input, std::array<int64_t, 3> stride,
                       const PostOps& post, std::string_view label = {},
                       ThreadPool* pool = nullptr) const;

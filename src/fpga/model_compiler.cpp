@@ -26,6 +26,35 @@ PostOps FoldBn(nn::BatchNorm3d* bn, bool relu) {
 
 }  // namespace
 
+CompiledTinyR2Plus1d::Stage::Meters CompiledTinyR2Plus1d::Stage::Meters::For(
+    const std::string& layer) {
+  auto& reg = obs::MetricsRegistry::Get();
+  const obs::LabelSet labels = {{"layer", layer}};
+  Meters m;
+  m.runs = &reg.GetCounter("exec.runs", labels);
+  m.macs_executed = &reg.GetCounter("exec.macs_executed", labels);
+  m.blocks_loaded = &reg.GetCounter("exec.blocks_loaded", labels);
+  m.blocks_skipped = &reg.GetCounter("exec.blocks_skipped", labels);
+  m.modeled_cycles = &reg.GetCounter("exec.modeled_cycles", labels);
+  m.stall_wgt = &reg.GetCounter("exec.stall.wgt_cycles", labels);
+  m.stall_in = &reg.GetCounter("exec.stall.in_cycles", labels);
+  m.stall_comp = &reg.GetCounter("exec.stall.comp_cycles", labels);
+  m.stall_out = &reg.GetCounter("exec.stall.out_cycles", labels);
+  return m;
+}
+
+void CompiledTinyR2Plus1d::Stage::Meters::Add(const TiledConvStats& s) const {
+  runs->Add(1);
+  macs_executed->Add(s.macs_executed);
+  blocks_loaded->Add(s.blocks_loaded);
+  blocks_skipped->Add(s.blocks_skipped);
+  modeled_cycles->Add(s.modeled_cycles);
+  stall_wgt->Add(s.stall.wgt);
+  stall_in->Add(s.stall.in);
+  stall_comp->Add(s.stall.comp);
+  stall_out->Add(s.stall.out);
+}
+
 StatusOr<CompiledTinyR2Plus1d> CompiledTinyR2Plus1d::Compile(
     models::TinyR2Plus1d& model, CompiledModelOptions options) {
   const auto prunable = model.PrunableConvs();
@@ -68,6 +97,7 @@ StatusOr<CompiledTinyR2Plus1d> CompiledTinyR2Plus1d::Compile(
     stage.post = FoldBn(bn, relu);
     stage.input = input;
     stage.shortcut = shortcut;
+    stage.meters = Stage::Meters::For(stage.name);
     // Only PrunableConvs() carry masks; the stem and the projection
     // shortcuts run dense.
     const auto it = std::find(prunable.begin(), prunable.end(), &conv);
@@ -134,6 +164,7 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
             : sim_.Run(stage.weights, stage_in, stage.stride,
                        stage.mask.has_value() ? &*stage.mask : nullptr, post,
                        stage.name);
+    stage.meters.Add(r.stats);
     if (stats != nullptr) {
       stats->modeled_cycles += r.stats.modeled_cycles;
       stats->blocks_loaded += r.stats.blocks_loaded;

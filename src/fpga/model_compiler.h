@@ -22,6 +22,7 @@
 #include "fpga/compiled_executor.h"
 #include "fpga/tiled_conv_sim.h"
 #include "models/tiny_r2plus1d.h"
+#include "obs/metrics.h"
 
 namespace hwp3d::fpga {
 
@@ -57,7 +58,9 @@ class CompiledTinyR2Plus1d {
                                                 CompiledModelOptions options);
 
   // Runs one clip [C][D][H][W] (float, host side) through the simulated
-  // accelerator and the host FC; returns the logits.
+  // accelerator and the host FC; returns the logits. Each stage's stats
+  // are added to its exec.*{layer} counters, whichever executor ran it
+  // (see Stage::Meters).
   TensorF Infer(const TensorF& clip, CompiledRunStats* stats = nullptr) const;
 
   // Argmax convenience.
@@ -72,6 +75,25 @@ class CompiledTinyR2Plus1d {
  private:
   // One call of the tiled engine.
   struct Stage {
+    // The stage's counters, labelled layer=<name> and resolved once by
+    // Compile(): exec.runs, exec.macs_executed, exec.blocks_loaded,
+    // exec.blocks_skipped, exec.modeled_cycles and
+    // exec.stall.{wgt,in,comp,out}_cycles. Stages of the same layer in
+    // different compiled models share them.
+    struct Meters {
+      static Meters For(const std::string& layer);
+      void Add(const TiledConvStats& s) const;
+      obs::Counter* runs = nullptr;
+      obs::Counter* macs_executed = nullptr;
+      obs::Counter* blocks_loaded = nullptr;
+      obs::Counter* blocks_skipped = nullptr;
+      obs::Counter* modeled_cycles = nullptr;
+      obs::Counter* stall_wgt = nullptr;
+      obs::Counter* stall_in = nullptr;
+      obs::Counter* stall_comp = nullptr;
+      obs::Counter* stall_out = nullptr;
+    };
+
     std::string name;  // conv layer name, labels traces/metrics
     TensorQ weights;   // [M][N][Kd][Kr][Kc]
     std::array<int64_t, 3> stride;
@@ -84,6 +106,7 @@ class CompiledTinyR2Plus1d {
     // Activations: 0 is the quantized clip, i+1 is stage i's output.
     int input = 0;
     int shortcut = -1;  // added by the post-processing unit; -1 = none
+    Meters meters;
   };
 
   CompiledTinyR2Plus1d(ExecMode exec, const Tiling& tiling,

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "fpga/conv_call.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/shape.h"
 
@@ -153,8 +152,8 @@ TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
   PerfModel pm(t_, p_);
   result.stats.modeled_cycles = pm.LayerCycles(spec, mask).cycles;
 
-  // Observability: one span + per-layer counters per Run (outside the
-  // hot loops, so the disabled-tracing cost is a single atomic load).
+  // Observability: one span per Run (outside the hot loops, so the
+  // disabled-tracing cost is a single atomic load).
   const TiledConvStats& s = result.stats;
   if (span.active()) {
     if (!label.empty()) span.AddArg("layer", std::string(label));
@@ -167,18 +166,6 @@ TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
     span.AddArg("stall_comp", s.stall.comp);
     span.AddArg("stall_out", s.stall.out);
   }
-  auto& reg = obs::MetricsRegistry::Get();
-  obs::LabelSet labels;
-  if (!label.empty()) labels = {{"layer", std::string(label)}};
-  reg.GetCounter("sim.runs", labels).Add(1);
-  reg.GetCounter("sim.macs_executed", labels).Add(s.macs_executed);
-  reg.GetCounter("sim.blocks_loaded", labels).Add(s.blocks_loaded);
-  reg.GetCounter("sim.blocks_skipped", labels).Add(s.blocks_skipped);
-  reg.GetCounter("sim.modeled_cycles", labels).Add(s.modeled_cycles);
-  reg.GetCounter("sim.stall.wgt_cycles", labels).Add(s.stall.wgt);
-  reg.GetCounter("sim.stall.in_cycles", labels).Add(s.stall.in);
-  reg.GetCounter("sim.stall.comp_cycles", labels).Add(s.stall.comp);
-  reg.GetCounter("sim.stall.out_cycles", labels).Add(s.stall.out);
   return result;
 }
 

@@ -59,8 +59,9 @@ class TiledConvSim {
 
   // weights: [M][N][Kd][Kr][Kc]; input: [N][Di][Ri][Ci] (pre-padded).
   // `mask` (optional) must match the ceil(M/Tm) x ceil(N/Tn) grid.
-  // `label` names the layer in traces and metrics (e.g. "conv2a");
-  // empty runs unlabeled.
+  // `label` names the layer's trace span (e.g. "conv2a"); empty runs
+  // unlabeled. Run records no metrics: CompiledTinyR2Plus1d::Infer
+  // accounts each stage it runs.
   TiledConvResult Run(const TensorQ& weights, const TensorQ& input,
                       std::array<int64_t, 3> stride,
                       const core::BlockMask* mask, const PostOps& post,

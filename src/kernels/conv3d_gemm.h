@@ -1,4 +1,4 @@
-// Direct Conv3d forward/backward for training (the HWP_CONV_ENGINE=gemm
+// Direct Conv3d forward/backward for training (the kernels::Engine::kGemm
 // path).
 //
 // Per sample, with K = N·Kd·Kh·Kw taps k = (n, kd, kh, kw) and

@@ -8,16 +8,15 @@
 //            cache-blocked Sgemm for Linear, ISA-dispatched and run on
 //            the persistent thread pool (src/kernels). The default.
 //
-// The process-wide default comes from HWP_CONV_ENGINE=naive|gemm
-// (default gemm); tests and benches override it with SetEngine.
+// The process-wide engine is kGemm; tests and benches select kNaive
+// with SetEngine.
 #pragma once
 
 namespace hwp3d::kernels {
 
 enum class Engine { kNaive, kGemm };
 
-// Currently selected engine (HWP_CONV_ENGINE on first call, unless a
-// SetEngine override happened earlier).
+// Currently selected engine (kGemm unless SetEngine chose another).
 Engine CurrentEngine();
 
 // Process-wide override, e.g. for parity tests and A/B benchmarks.

@@ -15,7 +15,6 @@
 //   --metrics-out F  write metrics JSONL to F + print the summary table
 //   --threads N      size hwp3d::ThreadPool (sets HWP_THREADS; must run
 //                    before the first ThreadPool::Get())
-//   --engine E       conv engine, naive|gemm (sets HWP_CONV_ENGINE)
 //   --executor E     compiled-model executor, sim|fast (consumed by the
 //                    caller, see fpga::ParseExecMode; fast = pre-packed
 //                    block-CSR tiles + analytic timing, sim =
@@ -35,7 +34,6 @@ struct CliOptions {
   std::string trace_out;    // Chrome trace-event JSON path ("" = off)
   std::string metrics_out;  // metrics JSONL path ("" = off)
   std::optional<int> threads;
-  std::string engine;       // "" = keep HWP_CONV_ENGINE / default
   std::string executor;     // "" = the binary's default executor
   std::string device;       // "" = binary's default device
   std::optional<uint64_t> seed;
@@ -43,9 +41,8 @@ struct CliOptions {
 
 // Extracts the registered flags from argv, compacting the remaining
 // arguments and updating argc. Enables the tracer when --trace-out is
-// present, exports HWP_THREADS / HWP_CONV_ENGINE for --threads /
-// --engine. Malformed values (non-numeric --threads) warn on stderr and
-// are ignored.
+// present, exports HWP_THREADS for --threads. Malformed values
+// (non-numeric --threads) warn on stderr and are ignored.
 CliOptions InitFromArgs(int& argc, char** argv);
 
 // Writes the requested trace/metrics files and prints the metrics

@@ -13,10 +13,13 @@ namespace hwp3d::obs {
 
 namespace {
 
-int BucketIndex(double v) {
-  if (!(v > 1.0)) return 0;
-  const int k = static_cast<int>(std::ceil(std::log2(v)));
-  return std::min(k, Histogram::kBuckets - 1);
+// The point `frac` of the way through histogram bucket `b`: 0.5 is its
+// midpoint, 1 its exclusive upper edge. Bucket 0 is [0, 1).
+double BucketPoint(int b, double frac) {
+  if (b == 0) return frac;
+  const int octave = (b - 1) / Histogram::kSubBuckets;
+  const int sub = (b - 1) % Histogram::kSubBuckets;
+  return std::ldexp(1.0 + (sub + frac) / Histogram::kSubBuckets, octave);
 }
 
 std::string CanonicalKey(std::string_view name, const LabelSet& labels) {
@@ -74,6 +77,18 @@ std::string FmtDouble(double v) {
 
 }  // namespace
 
+int Histogram::BucketOf(double v) {
+  if (!(v >= 1.0)) return 0;  // also NaN
+  int exp = 0;
+  const double mant = std::frexp(v, &exp);  // v = mant·2^exp, mant in [0.5, 1)
+  const int octave = exp - 1;               // v in [2^octave, 2^(octave+1))
+  if (octave >= kOctaves) return kBuckets - 1;
+  const int sub = static_cast<int>((2.0 * mant - 1.0) * kSubBuckets);
+  return 1 + octave * kSubBuckets + std::min(sub, kSubBuckets - 1);
+}
+
+double Histogram::BucketUpperEdge(int b) { return BucketPoint(b, 1.0); }
+
 void Histogram::Observe(double v) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stats_.count == 0) {
@@ -84,7 +99,7 @@ void Histogram::Observe(double v) {
   }
   ++stats_.count;
   stats_.sum += v;
-  ++buckets_[BucketIndex(v)];
+  ++counts_[static_cast<size_t>(BucketOf(v))];
 }
 
 Histogram::Stats Histogram::stats() const {
@@ -94,7 +109,27 @@ Histogram::Stats Histogram::stats() const {
 
 std::vector<int64_t> Histogram::buckets() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<int64_t>(buckets_, buckets_ + kBuckets);
+  return std::vector<int64_t>(counts_.begin(), counts_.end());
+}
+
+double Histogram::ValueAtRank(int64_t rank) const {
+  int64_t seen = 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    seen += counts_[static_cast<size_t>(b)];
+    if (seen > rank) return BucketPoint(b, 0.5);
+  }
+  return BucketPoint(kBuckets - 1, 0.5);
+}
+
+double Histogram::Percentile(double q) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t count = stats_.count;
+  if (count == 0) return 0.0;
+  const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(count - 1);
+  const int64_t lo = static_cast<int64_t>(pos);
+  const int64_t hi = std::min(lo + 1, count - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return ValueAtRank(lo) * (1.0 - frac) + ValueAtRank(hi) * frac;
 }
 
 MetricsRegistry& MetricsRegistry::Get() {
@@ -120,21 +155,28 @@ MetricsRegistry::Entry& MetricsRegistry::Lookup(std::string_view name,
   e.name = std::string(name);
   e.labels = std::move(labels);
   e.kind = kind;
+  switch (kind) {
+    case MetricKind::Counter: e.counter = std::make_unique<Counter>(); break;
+    case MetricKind::Gauge: e.gauge = std::make_unique<Gauge>(); break;
+    case MetricKind::Histogram:
+      e.histogram = std::make_unique<Histogram>();
+      break;
+  }
   by_key_.emplace(key, &e);
   return e;
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name, LabelSet labels) {
-  return Lookup(name, std::move(labels), MetricKind::Counter).counter;
+  return *Lookup(name, std::move(labels), MetricKind::Counter).counter;
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name, LabelSet labels) {
-  return Lookup(name, std::move(labels), MetricKind::Gauge).gauge;
+  return *Lookup(name, std::move(labels), MetricKind::Gauge).gauge;
 }
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
                                          LabelSet labels) {
-  return Lookup(name, std::move(labels), MetricKind::Histogram).histogram;
+  return *Lookup(name, std::move(labels), MetricKind::Histogram).histogram;
 }
 
 int64_t MetricsRegistry::CounterTotal(std::string_view name) const {
@@ -142,7 +184,7 @@ int64_t MetricsRegistry::CounterTotal(std::string_view name) const {
   int64_t total = 0;
   for (const Entry& e : entries_) {
     if (e.kind == MetricKind::Counter && e.name == name) {
-      total += e.counter.value();
+      total += e.counter->value();
     }
   }
   return total;
@@ -158,11 +200,11 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     s.labels = e.labels;
     s.kind = e.kind;
     switch (e.kind) {
-      case MetricKind::Counter: s.counter_value = e.counter.value(); break;
-      case MetricKind::Gauge: s.gauge_value = e.gauge.value(); break;
+      case MetricKind::Counter: s.counter_value = e.counter->value(); break;
+      case MetricKind::Gauge: s.gauge_value = e.gauge->value(); break;
       case MetricKind::Histogram:
-        s.histogram = e.histogram.stats();
-        s.buckets = e.histogram.buckets();
+        s.histogram = e.histogram->stats();
+        s.buckets = e.histogram->buckets();
         break;
     }
     out.push_back(std::move(s));
@@ -199,8 +241,8 @@ std::string MetricsRegistry::ToJsonl() const {
           if (s.buckets[static_cast<size_t>(k)] == 0) continue;
           if (!first) os << ",";
           first = false;
-          // Key: inclusive upper bound of the bucket (2^k).
-          os << "\"" << FmtDouble(std::ldexp(1.0, k)) << "\":"
+          // Key: the bucket's exclusive upper edge.
+          os << "\"" << FmtDouble(Histogram::BucketUpperEdge(k)) << "\":"
              << s.buckets[static_cast<size_t>(k)];
         }
         os << "}";

@@ -3,7 +3,7 @@
 // report::Table summary.
 //
 //   auto& skipped = obs::MetricsRegistry::Get().GetCounter(
-//       "sim.blocks_skipped", {{"layer", "conv2a"}});
+//       "exec.blocks_skipped", {{"layer", "conv2a"}});
 //   skipped.Add(n);   // lock-free after the first lookup
 //
 // Look metrics up once (outside hot loops) and hold the reference —
@@ -15,10 +15,12 @@
 //   obs::MetricsRegistry::Get().SummaryTable().Print();
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -52,6 +54,13 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+// Log-linear histogram over non-negative values. Each power-of-two
+// octave [2^e, 2^(e+1)), e in [0, kOctaves), is split into kSubBuckets
+// equal-width buckets, so a bucket is at most 1/kSubBuckets of its
+// lower edge wide. Values below 1 share bucket 0; values at or past
+// 2^kOctaves clamp into the last bucket. Memory is a fixed array of
+// kBuckets counters (~10 KB) however many values are observed. Exact
+// count/sum/min/max ride along. Thread-safe.
 class Histogram {
  public:
   struct Stats {
@@ -61,18 +70,33 @@ class Histogram {
     double max = 0.0;
     double mean() const { return count > 0 ? sum / count : 0.0; }
   };
-  // Power-of-two buckets over non-negative values: bucket k counts
-  // observations with 2^(k-1) < v <= 2^k (bucket 0: v <= 1).
-  static constexpr int kBuckets = 64;
+  static constexpr int kSubBuckets = 32;
+  static constexpr int kOctaves = 40;
+  static constexpr int kBuckets = 1 + kOctaves * kSubBuckets;
+  // Bucket midpoints are within this of every value >= 1 in the bucket.
+  static constexpr double kMaxRelativeError = 1.0 / (2 * kSubBuckets);
 
   void Observe(double v);
   Stats stats() const;
   std::vector<int64_t> buckets() const;  // size kBuckets
 
+  // The q-quantile (q in [0, 1]) with the sorted-sample convention
+  // x[lo]·(1-f) + x[hi]·f at rank q·(count-1), each order statistic
+  // replaced by its bucket midpoint: for values >= 1, within
+  // kMaxRelativeError of the exact quantile. 0 when empty.
+  double Percentile(double q) const;
+
+  // Exclusive upper edge of bucket `b` (1 for bucket 0).
+  static double BucketUpperEdge(int b);
+
  private:
+  static int BucketOf(double v);
+  // Midpoint of the bucket holding the rank-th smallest value; mu_ held.
+  double ValueAtRank(int64_t rank) const;
+
   mutable std::mutex mu_;
   Stats stats_;
-  int64_t buckets_[kBuckets] = {};
+  std::array<int64_t, kBuckets> counts_{};
 };
 
 enum class MetricKind { Counter, Gauge, Histogram };
@@ -106,7 +130,7 @@ class MetricsRegistry {
   std::vector<MetricSnapshot> Snapshot() const;
 
   // One JSON object per line, e.g.
-  //   {"type":"counter","name":"sim.blocks_skipped",
+  //   {"type":"counter","name":"exec.blocks_skipped",
   //    "labels":{"layer":"conv2a"},"value":128}
   std::string ToJsonl() const;
   bool WriteJsonl(const std::string& path) const;
@@ -114,17 +138,21 @@ class MetricsRegistry {
   // End-of-run summary rendered through report::Table.
   report::Table SummaryTable() const;
 
-  // Drops every registered metric (invalidates references; tests only).
+  // Drops every registered metric (tests only). Invalidates every
+  // reference handed out, including those that compiled models and
+  // servers resolved at construction: reset before building them.
   void Reset();
 
  private:
+  // Holds only the instrument of its own kind: a histogram's buckets
+  // are ~10 KB, which no counter or gauge should carry.
   struct Entry {
     std::string name;
     LabelSet labels;
     MetricKind kind;
-    Counter counter;
-    Gauge gauge;
-    Histogram histogram;
+    std::unique_ptr<Counter> counter;
+    std::unique_ptr<Gauge> gauge;
+    std::unique_ptr<Histogram> histogram;
   };
 
   Entry& Lookup(std::string_view name, LabelSet labels, MetricKind kind);

@@ -17,41 +17,11 @@ namespace hwp3d::serve {
 
 namespace {
 
-struct ServeMetrics {
-  obs::Counter& accepted;
-  obs::Counter& rejected;
-  obs::Counter& deadline_exceeded;
-  obs::Counter& completed;
-  obs::Counter& batches;
-  obs::Counter& retries;
-  obs::Counter& faults_injected;
-  obs::Counter& replicas_quarantined;
-  obs::Counter& watchdog_fired;
-  obs::Gauge& queue_depth;
-  obs::Gauge& healthy_replicas;
-  obs::Gauge& executor;  // 1 = fast compiled executor, 0 = simulator
-  obs::Histogram& batch_size;
-  obs::Histogram& latency_us;
-
-  static ServeMetrics& Get() {
-    auto& reg = obs::MetricsRegistry::Get();
-    static ServeMetrics m{reg.GetCounter("serve.accepted"),
-                          reg.GetCounter("serve.rejected"),
-                          reg.GetCounter("serve.deadline_exceeded"),
-                          reg.GetCounter("serve.completed"),
-                          reg.GetCounter("serve.batches"),
-                          reg.GetCounter("serve.retries"),
-                          reg.GetCounter("serve.faults_injected"),
-                          reg.GetCounter("serve.replicas_quarantined"),
-                          reg.GetCounter("serve.watchdog_fired"),
-                          reg.GetGauge("serve.queue_depth"),
-                          reg.GetGauge("serve.healthy_replicas"),
-                          reg.GetGauge("serve.executor"),
-                          reg.GetHistogram("serve.batch_size"),
-                          reg.GetHistogram("serve.latency_us")};
-    return m;
-  }
-};
+// Labels of the next server constructed: server=0, 1, ... in order.
+obs::LabelSet NextServerLabels() {
+  static std::atomic<int> next{0};
+  return {{"server", std::to_string(next.fetch_add(1))}};
+}
 
 int ArgMax(const TensorF& logits) {
   int best = 0;
@@ -78,12 +48,31 @@ std::future<StatusOr<InferenceResult>> Resolved(Status status) {
 
 }  // namespace
 
+InferenceServer::Meters::Meters(obs::MetricsRegistry& reg,
+                                const obs::LabelSet& l)
+    : accepted(reg.GetCounter("serve.accepted", l)),
+      rejected(reg.GetCounter("serve.rejected", l)),
+      deadline_exceeded(reg.GetCounter("serve.deadline_exceeded", l)),
+      completed(reg.GetCounter("serve.completed", l)),
+      batches(reg.GetCounter("serve.batches", l)),
+      retries(reg.GetCounter("serve.retries", l)),
+      faults_injected(reg.GetCounter("serve.faults_injected", l)),
+      replicas_quarantined(reg.GetCounter("serve.replicas_quarantined", l)),
+      watchdog_fired(reg.GetCounter("serve.watchdog_fired", l)),
+      queue_depth(reg.GetGauge("serve.queue_depth", l)),
+      healthy_replicas(reg.GetGauge("serve.healthy_replicas", l)),
+      executor(reg.GetGauge("serve.executor", l)),
+      batch_size(reg.GetHistogram("serve.batch_size", l)),
+      latency_us(reg.GetHistogram("serve.latency_us", l)) {}
+
 InferenceServer::InferenceServer(
     std::shared_ptr<const fpga::CompiledTinyR2Plus1d> model,
     ServerConfig config)
     : config_(config),
       retry_(config.retry),
       model_(std::move(model)),
+      labels_(NextServerLabels()),
+      m_(obs::MetricsRegistry::Get(), labels_),
       health_(std::max(config.replicas, 1),
               std::max(config.quarantine_after, 1)),
       queue_(config.queue_capacity) {
@@ -103,14 +92,8 @@ InferenceServer::InferenceServer(
     replica_fault_points_.push_back(
         StrFormat("%s.r%d", kFaultReplicaInfer, r));
   }
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    totals_.healthy_replicas = config_.replicas;
-  }
-  ServeMetrics::Get().healthy_replicas.Set(
-      static_cast<double>(config_.replicas));
-  ServeMetrics::Get().executor.Set(
-      model_->executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
+  m_.healthy_replicas.Set(static_cast<double>(config_.replicas));
+  m_.executor.Set(model_->executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
   if (config_.watchdog_timeout_us > 0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
@@ -121,13 +104,8 @@ InferenceServer::~InferenceServer() { Shutdown(); }
 
 std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
     TensorF clip, int64_t deadline_us) {
-  auto& m = ServeMetrics::Get();
   const auto reject = [&](Status status) {
-    m.rejected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.rejected;
-    }
+    m_.rejected.Add(1);
     return Resolved(std::move(status));
   };
   const int64_t channels = model_->input_channels();
@@ -148,11 +126,7 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
                   static_cast<long long>(bad - values))));
   }
   if (FaultInjector::Get().Trip(kFaultQueueAdmit)) {
-    m.faults_injected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.faults_injected;
-    }
+    m_.faults_injected.Add(1);
     return reject(
         UnavailableError(StrFormat("injected fault: %s", kFaultQueueAdmit)));
   }
@@ -171,12 +145,8 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
     // report through a fresh promise for a uniform future-based path.
     return reject(std::move(admitted));
   }
-  m.accepted.Add(1);
-  m.queue_depth.Set(static_cast<double>(queue_.size()));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++totals_.accepted;
-  }
+  m_.accepted.Add(1);
+  m_.queue_depth.Set(static_cast<double>(queue_.size()));
   return future;
 }
 
@@ -207,19 +177,13 @@ void InferenceServer::DispatchLoop() {
         queue_.PopBatch(config_.max_batch, config_.max_delay_us);
     if (batch.empty()) return;  // closed and drained
     RunBatch(batch);
-    ServeMetrics::Get().queue_depth.Set(static_cast<double>(queue_.size()));
+    m_.queue_depth.Set(static_cast<double>(queue_.size()));
   }
 }
 
 void InferenceServer::NoteQuarantine(int replica) {
-  auto& m = ServeMetrics::Get();
-  m.replicas_quarantined.Add(1);
-  m.healthy_replicas.Set(static_cast<double>(health_.healthy_count()));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    totals_.replicas_quarantined = health_.quarantined_count();
-    totals_.healthy_replicas = health_.healthy_count();
-  }
+  m_.replicas_quarantined.Add(1);
+  m_.healthy_replicas.Set(static_cast<double>(health_.healthy_count()));
   HWP_LOG(Warning) << "replica " << replica << " quarantined after "
                    << config_.quarantine_after
                    << " consecutive failures; serving degrades to "
@@ -230,7 +194,6 @@ void InferenceServer::NoteQuarantine(int replica) {
 Status InferenceServer::RunOne(Pending& pending, int replica,
                                double start_us, int batch_size,
                                const std::atomic<bool>& cancelled) {
-  auto& m = ServeMetrics::Get();
   auto& inj = FaultInjector::Get();
   Request& req = pending.req;
   Status transient = Status::Ok();
@@ -249,11 +212,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
           "(mid-batch check)",
           now_us - req.deadline_us, req.deadline_us - req.enqueue_us));
       if (pending.Claim()) {
-        m.deadline_exceeded.Add(1);
-        {
-          std::lock_guard<std::mutex> lk(stats_mu_);
-          ++totals_.deadline_exceeded;
-        }
+        m_.deadline_exceeded.Add(1);
         req.promise.set_value(std::move(expired));
       }
       return DeadlineExceededError("expired mid-batch");
@@ -261,11 +220,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
     if (inj.Trip(kFaultReplicaWedge)) {
       // Simulated wedged replica: stall, then continue normally. The
       // watchdog (when armed) kills the batch out from under us.
-      m.faults_injected.Add(1);
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++totals_.faults_injected;
-      }
+      m_.faults_injected.Add(1);
       SleepUs(inj.delay_us(kFaultReplicaWedge));
       if (cancelled.load(std::memory_order_acquire)) {
         return CancelledError("batch cancelled by watchdog");
@@ -300,23 +255,14 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       // the future resolve must find its request reflected in Stats(),
       // and a concurrent watchdog kill must not double-resolve.
       if (pending.Claim()) {
-        m.completed.Add(1);
-        m.latency_us.Observe(latency_us);
-        {
-          std::lock_guard<std::mutex> lk(stats_mu_);
-          ++totals_.completed;
-          latency_record_.Record(latency_us);
-        }
+        m_.completed.Add(1);
+        m_.latency_us.Observe(latency_us);
         req.promise.set_value(std::move(result));
       }
       return Status::Ok();
     }
     // Injected transient failure.
-    m.faults_injected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.faults_injected;
-    }
+    m_.faults_injected.Add(1);
     transient = UnavailableError(StrFormat(
         "injected fault: %s (replica %d, attempt %d)", kFaultReplicaInfer,
         replica, attempt));
@@ -324,17 +270,12 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
     const std::optional<int64_t> backoff =
         retry_.NextBackoffUs(attempt, obs::NowUs(), req.deadline_us);
     if (!backoff) return transient;  // caller may rescue or fail truthfully
-    m.retries.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.retries;
-    }
+    m_.retries.Add(1);
     SleepUs(*backoff);
   }
 }
 
 void InferenceServer::RunBatch(std::vector<Request>& batch) {
-  auto& m = ServeMetrics::Get();
   obs::TraceScope span("serve/batch");
 
   // Stable-address wrappers so the watchdog and the replica lanes can
@@ -348,11 +289,7 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
   for (Pending& p : owned) {
     if (p.req.deadline_us > 0.0 && start_us > p.req.deadline_us) {
       if (p.Claim()) {
-        m.deadline_exceeded.Add(1);
-        {
-          std::lock_guard<std::mutex> lk(stats_mu_);
-          ++totals_.deadline_exceeded;
-        }
+        m_.deadline_exceeded.Add(1);
         p.req.promise.set_value(DeadlineExceededError(StrFormat(
             "request queued for %.0f us, past its %.0f us deadline",
             start_us - p.req.enqueue_us,
@@ -366,12 +303,8 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
 
   // Record batch-level stats up front: promises below must only resolve
   // after every counter a waiter could observe through Stats() is final.
-  m.batches.Add(1);
-  m.batch_size.Observe(static_cast<double>(live.size()));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++totals_.batches;
-  }
+  m_.batches.Add(1);
+  m_.batch_size.Observe(static_cast<double>(live.size()));
 
   // Re-stripe over the healthy replica set: with lanes H[0..L), lane k
   // serves items k, k+L, ... All lanes share the one const model.
@@ -431,7 +364,6 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
 }
 
 void InferenceServer::WatchdogLoop() {
-  auto& m = ServeMetrics::Get();
   const int64_t timeout_us = config_.watchdog_timeout_us;
   const auto poll = std::chrono::microseconds(
       std::clamp<int64_t>(timeout_us / 4, 1'000, 50'000));
@@ -448,21 +380,16 @@ void InferenceServer::WatchdogLoop() {
     // cancel the lanes cooperatively and fail every outstanding request
     // so waiters — and a pending Shutdown() — stop depending on it.
     watch_->cancelled->store(true, std::memory_order_release);
+    m_.watchdog_fired.Add(1);
     int64_t killed = 0;
     for (Pending* p : *watch_->live) {
       if (!p->Claim()) continue;
       ++killed;
+      m_.deadline_exceeded.Add(1);
       p->req.promise.set_value(DeadlineExceededError(StrFormat(
           "watchdog: batch stuck for more than %lld us; request failed "
           "without a result",
           static_cast<long long>(timeout_us))));
-    }
-    m.watchdog_fired.Add(1);
-    m.deadline_exceeded.Add(killed);
-    {
-      std::lock_guard<std::mutex> slk(stats_mu_);
-      ++totals_.watchdog_fired;
-      totals_.deadline_exceeded += killed;
     }
     HWP_LOG(Warning) << "serve watchdog fired: batch exceeded "
                      << timeout_us << " us; failed " << killed
@@ -472,16 +399,22 @@ void InferenceServer::WatchdogLoop() {
 }
 
 ServerStats InferenceServer::Stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  ServerStats s = totals_;
+  ServerStats s;
+  s.accepted = m_.accepted.value();
+  s.rejected = m_.rejected.value();
+  s.deadline_exceeded = m_.deadline_exceeded.value();
+  s.completed = m_.completed.value();
+  s.batches = m_.batches.value();
+  s.retries = m_.retries.value();
+  s.faults_injected = m_.faults_injected.value();
+  s.watchdog_fired = m_.watchdog_fired.value();
+  s.replicas_quarantined = health_.quarantined_count();
+  s.healthy_replicas = health_.healthy_count();
   s.queue_depth = static_cast<int64_t>(queue_.size());
-  s.mean_batch_size =
-      s.batches > 0
-          ? static_cast<double>(s.completed) / static_cast<double>(s.batches)
-          : 0.0;
-  s.p50_ms = latency_record_.Percentile(0.50) / 1000.0;
-  s.p95_ms = latency_record_.Percentile(0.95) / 1000.0;
-  s.p99_ms = latency_record_.Percentile(0.99) / 1000.0;
+  s.mean_batch_size = m_.batch_size.stats().mean();
+  s.p50_ms = m_.latency_us.Percentile(0.50) / 1000.0;
+  s.p95_ms = m_.latency_us.Percentile(0.95) / 1000.0;
+  s.p99_ms = m_.latency_us.Percentile(0.99) / 1000.0;
   return s;
 }
 

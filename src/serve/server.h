@@ -44,9 +44,12 @@
 //
 // Metrics: serve.accepted/rejected/deadline_exceeded/completed/batches
 // plus serve.retries/faults_injected/replicas_quarantined/
-// watchdog_fired counters, serve.queue_depth and serve.healthy_replicas
-// gauges, serve.batch_size and serve.latency_us histograms; trace span
-// "serve/batch" per dispatch.
+// watchdog_fired counters, serve.queue_depth, serve.healthy_replicas
+// and serve.executor gauges, serve.batch_size and serve.latency_us
+// histograms, all labelled server=<n> (n counts servers in construction
+// order, so servers in one process stay apart) and resolved once at
+// construction. They are the server's only record: Stats() reads them,
+// health_ and queue_. Trace span "serve/batch" per dispatch.
 #pragma once
 
 #include <atomic>
@@ -60,7 +63,7 @@
 
 #include "common/retry.h"
 #include "fpga/model_compiler.h"
-#include "serve/latency_histogram.h"
+#include "obs/metrics.h"
 #include "serve/replica_health.h"
 #include "serve/request_queue.h"
 
@@ -89,10 +92,10 @@ struct ServerStats {
   int64_t replicas_quarantined = 0;  // currently quarantined
   int64_t healthy_replicas = 0;
   int64_t queue_depth = 0;        // at the time of the Stats() call
-  double mean_batch_size = 0.0;
+  double mean_batch_size = 0.0;   // mean live items per dispatched batch
   // End-to-end (enqueue -> completion) latency percentiles over every
-  // completed request, in milliseconds, read from a fixed log-linear
-  // histogram: within LatencyHistogram::kMaxRelativeError (1/64) of the
+  // completed request, in milliseconds, read from the serve.latency_us
+  // histogram: within obs::Histogram::kMaxRelativeError (1/64) of the
   // exact sorted-sample percentile for latencies >= 1 µs.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
@@ -127,6 +130,9 @@ class InferenceServer {
 
   ServerStats Stats() const;
   const ServerConfig& config() const { return config_; }
+  // {{"server", "<n>"}}: the label every serve.* instrument of this
+  // server is registered under.
+  const obs::LabelSet& metric_labels() const { return labels_; }
 
  private:
   // A queued request plus a claim flag so exactly one of {replica lane,
@@ -158,10 +164,31 @@ class InferenceServer {
   void WatchdogLoop();
   void NoteQuarantine(int replica);
 
+  // The server's instruments, labelled server=<n>.
+  struct Meters {
+    Meters(obs::MetricsRegistry& reg, const obs::LabelSet& labels);
+    obs::Counter& accepted;
+    obs::Counter& rejected;
+    obs::Counter& deadline_exceeded;
+    obs::Counter& completed;
+    obs::Counter& batches;
+    obs::Counter& retries;
+    obs::Counter& faults_injected;
+    obs::Counter& replicas_quarantined;  // quarantine events
+    obs::Counter& watchdog_fired;
+    obs::Gauge& queue_depth;
+    obs::Gauge& healthy_replicas;
+    obs::Gauge& executor;  // 1 = fast compiled executor, 0 = simulator
+    obs::Histogram& batch_size;
+    obs::Histogram& latency_us;
+  };
+
   ServerConfig config_;
   RetryPolicy retry_;
   std::shared_ptr<const fpga::CompiledTinyR2Plus1d> model_;
   std::vector<std::string> replica_fault_points_;  // serve.replica_infer.r<k>
+  obs::LabelSet labels_;
+  Meters m_;
   ReplicaHealth health_;
   RequestQueue queue_;
   std::thread dispatcher_;
@@ -172,12 +199,6 @@ class InferenceServer {
   std::condition_variable watch_cv_;
   bool watchdog_stop_ = false;
   std::optional<WatchTarget> watch_;
-
-  // Aggregate counters; latency_record_ feeds the Stats() percentiles
-  // in constant memory.
-  mutable std::mutex stats_mu_;
-  ServerStats totals_;
-  LatencyHistogram latency_record_;
 };
 
 }  // namespace hwp3d::serve

@@ -5,6 +5,8 @@
 // tiling grids, and any thread count.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -17,6 +19,7 @@
 #include "models/tiny_r2plus1d.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
 
 namespace hwp3d {
 namespace {
@@ -300,6 +303,70 @@ class CompiledExecutorModelTest : public ::testing::Test {
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
 };
+
+// Every exec.* counter, keyed by name plus labels.
+std::map<std::string, int64_t> ExecCounters() {
+  std::map<std::string, int64_t> out;
+  for (const obs::MetricSnapshot& m : obs::MetricsRegistry::Get().Snapshot()) {
+    if (m.kind != obs::MetricKind::Counter || m.name.rfind("exec.", 0) != 0) {
+      continue;
+    }
+    std::string key = m.name;
+    for (const auto& [k, v] : m.labels) key += "," + k + "=" + v;
+    out[key] = m.counter_value;
+  }
+  return out;
+}
+
+// The exec.* counters `infer` adds, keyed like ExecCounters().
+template <typename Fn>
+std::map<std::string, int64_t> ExecDeltas(Fn&& infer) {
+  std::map<std::string, int64_t> delta = ExecCounters();
+  for (auto& [key, value] : delta) value = -value;
+  infer();
+  for (const auto& [key, value] : ExecCounters()) delta[key] += value;
+  return delta;
+}
+
+TEST_F(CompiledExecutorModelTest, BothExecutorsAddTheSameStageCounters) {
+  CompiledModelOptions opts;
+  opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
+  opts.masks = PruneMasks(0.5, {4, 4});
+  opts.executor = ExecMode::kFast;
+  auto fast = CompiledTinyR2Plus1d::Compile(*model_, opts);
+  opts.executor = ExecMode::kSimulate;
+  auto sim = CompiledTinyR2Plus1d::Compile(*model_, opts);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+
+  const TensorF clip = MakeClip(5);
+  CompiledRunStats fast_stats, sim_stats;
+  const auto fast_delta = ExecDeltas([&] { fast->Infer(clip, &fast_stats); });
+  const auto sim_delta = ExecDeltas([&] { sim->Infer(clip, &sim_stats); });
+  EXPECT_EQ(fast_delta, sim_delta);
+
+  // Summed over the layers, the deltas are the run's CompiledRunStats;
+  // each stage ran once.
+  std::map<std::string, int64_t> totals;
+  for (const auto& [key, value] : fast_delta) {
+    totals[key.substr(0, key.find(','))] += value;
+    if (key.rfind("exec.runs,", 0) == 0) {
+      EXPECT_EQ(value, 1) << key;
+    }
+  }
+  EXPECT_GT(totals["exec.runs"], 0);
+  EXPECT_EQ(totals["exec.blocks_loaded"], fast_stats.blocks_loaded);
+  EXPECT_EQ(totals["exec.blocks_skipped"], fast_stats.blocks_skipped);
+  EXPECT_GT(totals["exec.blocks_skipped"], 0);
+  EXPECT_EQ(totals["exec.macs_executed"], fast_stats.macs_executed);
+  EXPECT_EQ(totals["exec.modeled_cycles"], fast_stats.modeled_cycles);
+  EXPECT_EQ(totals["exec.stall.wgt_cycles"] + totals["exec.stall.in_cycles"] +
+                totals["exec.stall.comp_cycles"] +
+                totals["exec.stall.out_cycles"],
+            fast_stats.modeled_cycles);
+  EXPECT_EQ(fast_stats.blocks_loaded, sim_stats.blocks_loaded);
+  EXPECT_EQ(fast_stats.modeled_cycles, sim_stats.modeled_cycles);
+}
 
 TEST_F(CompiledExecutorModelTest, DenseParity) {
   CompiledModelOptions opts;

@@ -1,19 +1,24 @@
 // Observability subsystem tests: span nesting and timing containment,
 // zero-allocation guarantee for disabled tracing, counter / gauge /
-// histogram aggregation and label identity, Chrome-trace and JSONL
+// histogram aggregation and label identity, histogram percentile error
+// and concurrent use, Chrome-trace and JSONL
 // round-trips through a strict JSON parser, and the logging upgrades
 // (pluggable sink, ISO-8601 line format, HWP_LOG_LEVEL parsing).
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "obs/cli.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
@@ -122,25 +127,25 @@ TEST_F(ObsTest, DisabledScopeAllocatesNothingAndRecordsNothing) {
 
 TEST_F(ObsTest, CounterAggregatesAndLabelsAreDistinct) {
   auto& reg = obs::MetricsRegistry::Get();
-  obs::Counter& plain = reg.GetCounter("sim.blocks_skipped");
+  obs::Counter& plain = reg.GetCounter("exec.blocks_skipped");
   plain.Add(3);
   plain.Add(4);
   EXPECT_EQ(plain.value(), 7);
 
-  obs::Counter& a = reg.GetCounter("sim.blocks_skipped", {{"layer", "a"}});
-  obs::Counter& b = reg.GetCounter("sim.blocks_skipped", {{"layer", "b"}});
+  obs::Counter& a = reg.GetCounter("exec.blocks_skipped", {{"layer", "a"}});
+  obs::Counter& b = reg.GetCounter("exec.blocks_skipped", {{"layer", "b"}});
   EXPECT_NE(&a, &b);
   a.Add(10);
   b.Add(20);
   // Label order must not matter for identity.
   obs::Counter& a2 = reg.GetCounter(
-      "sim.blocks_skipped", {{"zz", "1"}, {"layer", "a"}});
+      "exec.blocks_skipped", {{"zz", "1"}, {"layer", "a"}});
   obs::Counter& a3 = reg.GetCounter(
-      "sim.blocks_skipped", {{"layer", "a"}, {"zz", "1"}});
+      "exec.blocks_skipped", {{"layer", "a"}, {"zz", "1"}});
   EXPECT_EQ(&a2, &a3);
   a2.Add(5);
 
-  EXPECT_EQ(reg.CounterTotal("sim.blocks_skipped"), 7 + 10 + 20 + 5);
+  EXPECT_EQ(reg.CounterTotal("exec.blocks_skipped"), 7 + 10 + 20 + 5);
   EXPECT_EQ(reg.CounterTotal("no.such.counter"), 0);
 }
 
@@ -164,6 +169,80 @@ TEST_F(ObsTest, HistogramStatsAndBuckets) {
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 9.0);
   EXPECT_DOUBLE_EQ(s.mean(), 4.0);
+  // 1 and 2 open octaves 0 and 1; 9 lies in octave 3, sub-bucket 4
+  // ([9, 9.25)).
+  const std::vector<int64_t> buckets = h.buckets();
+  ASSERT_EQ(buckets.size(), static_cast<size_t>(obs::Histogram::kBuckets));
+  constexpr int kSub = obs::Histogram::kSubBuckets;
+  EXPECT_EQ(buckets[1], 1);
+  EXPECT_EQ(buckets[1 + kSub], 1);
+  EXPECT_EQ(buckets[1 + 3 * kSub + 4], 1);
+  EXPECT_DOUBLE_EQ(obs::Histogram::BucketUpperEdge(1 + 3 * kSub + 4), 9.25);
+  EXPECT_DOUBLE_EQ(obs::Histogram::BucketUpperEdge(0), 1.0);
+}
+
+// 1e5 observations in a fixed-size histogram: percentiles within the
+// stated relative error of the exact sorted-sample percentiles.
+TEST_F(ObsTest, HistogramPercentilesHaveBoundedErrorInConstantMemory) {
+  // A fixed array of counters, no heap: memory cannot grow with the
+  // number of observations.
+  static_assert(sizeof(obs::Histogram) <= 16 * 1024);
+  obs::Histogram hist;
+  EXPECT_EQ(hist.Percentile(0.5), 0.0);
+  Rng rng(77);
+  std::vector<double> exact;
+  constexpr int kObservations = 100000;
+  exact.reserve(kObservations);
+  for (int i = 0; i < kObservations; ++i) {
+    // Log-normal around ~1 ms with a long tail up to seconds.
+    const double us = std::exp(rng.Normal(std::log(1000.0), 1.2)) + 1.0;
+    exact.push_back(us);
+    hist.Observe(us);
+  }
+  EXPECT_EQ(hist.stats().count, kObservations);
+  std::sort(exact.begin(), exact.end());
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    const double pos = q * static_cast<double>(exact.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, exact.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    const double want = exact[lo] * (1.0 - frac) + exact[hi] * frac;
+    EXPECT_LE(std::abs(hist.Percentile(q) - want),
+              obs::Histogram::kMaxRelativeError * want)
+        << "q=" << q;
+  }
+}
+
+// Serving lanes observe while Stats() and metric dumps read.
+TEST_F(ObsTest, HistogramToleratesConcurrentObserveAndReads) {
+  auto& reg = obs::MetricsRegistry::Get();
+  obs::Histogram& h = reg.GetHistogram("serve.latency_us", {{"server", "0"}});
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 5000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const double p = h.Percentile(0.99);
+      EXPECT_GE(p, 0.0);
+      EXPECT_LE(p, 1000.0 * (1.0 + obs::Histogram::kMaxRelativeError));
+      for (const obs::MetricSnapshot& m : reg.Snapshot()) {
+        EXPECT_LE(m.histogram.count, kWriters * kPerWriter);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&h, w] {
+      for (int i = 0; i < kPerWriter; ++i) h.Observe(1.0 + (i + w) % 1000);
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true);
+  reader.join();
+  const obs::Histogram::Stats s = h.stats();
+  EXPECT_EQ(s.count, kWriters * kPerWriter);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 1000.0);
 }
 
 TEST_F(ObsTest, MetricKindMismatchThrows) {
@@ -214,7 +293,7 @@ TEST_F(ObsTest, ChromeTraceJsonRoundTrip) {
 
 TEST_F(ObsTest, MetricsJsonlRoundTrip) {
   auto& reg = obs::MetricsRegistry::Get();
-  reg.GetCounter("sim.blocks_skipped", {{"layer", "conv2a"}}).Add(17);
+  reg.GetCounter("exec.blocks_skipped", {{"layer", "conv2a"}}).Add(17);
   reg.GetGauge("train.accuracy").Set(0.75);
   reg.GetHistogram("admm.primal_residual").Observe(3.0);
 
@@ -230,7 +309,7 @@ TEST_F(ObsTest, MetricsJsonlRoundTrip) {
     ASSERT_TRUE(v.has_value()) << line;
     ASSERT_NE(v->Find("type"), nullptr);
     ASSERT_NE(v->Find("name"), nullptr);
-    if (v->Find("name")->str == "sim.blocks_skipped") {
+    if (v->Find("name")->str == "exec.blocks_skipped") {
       saw_counter = true;
       EXPECT_EQ(v->Find("type")->str, "counter");
       EXPECT_DOUBLE_EQ(v->Find("value")->number, 17.0);
@@ -245,10 +324,10 @@ TEST_F(ObsTest, MetricsJsonlRoundTrip) {
 
 TEST_F(ObsTest, SummaryTableListsEveryMetric) {
   auto& reg = obs::MetricsRegistry::Get();
-  reg.GetCounter("sim.runs").Add(2);
+  reg.GetCounter("exec.runs").Add(2);
   reg.GetGauge("train.loss").Set(0.5);
   const std::string rendered = reg.SummaryTable().Render();
-  EXPECT_NE(rendered.find("sim.runs"), std::string::npos);
+  EXPECT_NE(rendered.find("exec.runs"), std::string::npos);
   EXPECT_NE(rendered.find("train.loss"), std::string::npos);
 }
 

@@ -244,6 +244,32 @@ TEST_F(ServeFaultTest, ExhaustedRetriesFailTruthfully) {
   EXPECT_EQ(server.Stats().healthy_replicas, 1);
 }
 
+TEST_F(ServeFaultTest, MeanBatchSizeCountsBatchesWhoseItemsAllFail) {
+  // Every attempt fails, so no request completes — but each batch still
+  // ran two live items, and the mean batch size must say so.
+  FaultInjector::Get().Arm("serve.replica_infer", 1'000'000);
+  serve::ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.max_batch = 2;
+  cfg.max_delay_us = 60'000'000;  // only the size trigger flushes
+  cfg.retry = FastRetry(2);
+  serve::InferenceServer server(compiled_, cfg);
+
+  std::vector<std::future<StatusOr<InferenceResult>>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(server.SubmitAsync(MakeClip(i % 4, 110 + i)));
+  }
+  for (auto& f : futures) {
+    auto r = f.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  }
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.completed, 0);
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 2.0);
+}
+
 TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   // Replica 1 always fails; replica 0 is healthy. After K = 2
   // consecutive failures r1 is quarantined and every request is still

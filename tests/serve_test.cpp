@@ -5,13 +5,10 @@
 // slow and single-core).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <future>
 #include <limits>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -20,9 +17,9 @@
 #include "fpga/model_compiler.h"
 #include "models/tiny_r2plus1d.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_session.h"
-#include "serve/latency_histogram.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"
 #include "tensor/tensor_ops.h"
@@ -77,41 +74,6 @@ TEST(RequestQueueTest, RejectsWhenFullAndAfterClose) {
   EXPECT_EQ(q.PopBatch(8, 1'000'000).size(), 2u);
   // ...and then the empty shutdown signal.
   EXPECT_TRUE(q.PopBatch(8, 1'000'000).empty());
-}
-
-// The server's latency record: 1e5 observations in a fixed-size
-// histogram, percentiles within the stated relative error of the exact
-// sorted-sample percentiles.
-TEST(LatencyHistogramTest, ConstantMemoryAndBoundedError) {
-  // A fixed array of counters, no heap: memory cannot grow with the
-  // number of recorded requests.
-  static_assert(std::is_trivially_copyable_v<serve::LatencyHistogram>);
-  static_assert(sizeof(serve::LatencyHistogram) <= 16 * 1024);
-
-  serve::LatencyHistogram hist;
-  EXPECT_EQ(hist.Percentile(0.5), 0.0);
-  Rng rng(77);
-  std::vector<double> exact;
-  constexpr int kObservations = 100000;
-  exact.reserve(kObservations);
-  for (int i = 0; i < kObservations; ++i) {
-    // Log-normal around ~1 ms with a long tail up to seconds.
-    const double us = std::exp(rng.Normal(std::log(1000.0), 1.2)) + 1.0;
-    exact.push_back(us);
-    hist.Record(us);
-  }
-  EXPECT_EQ(hist.count(), kObservations);
-  std::sort(exact.begin(), exact.end());
-  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
-    const double pos = q * static_cast<double>(exact.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, exact.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    const double want = exact[lo] * (1.0 - frac) + exact[hi] * frac;
-    EXPECT_LE(std::abs(hist.Percentile(q) - want),
-              serve::LatencyHistogram::kMaxRelativeError * want)
-        << "q=" << q;
-  }
 }
 
 TEST(RequestQueueTest, NearFlushWaitDoesNotBusySpin) {
@@ -345,6 +307,46 @@ TEST_F(ServeTest, PredictionsInvariantAcrossReplicaCounts) {
           << "replicas=" << replicas << " clip " << i;
     }
   }
+}
+
+TEST_F(ServeTest, TwoLiveServersAccountSeparately) {
+  auto& reg = obs::MetricsRegistry::Get();
+  const int64_t total_before = reg.CounterTotal("serve.completed");
+  serve::ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.max_batch = 2;
+  cfg.max_delay_us = 1'000;
+  serve::InferenceServer a(compiled_, cfg);
+  serve::InferenceServer b(compiled_, cfg);
+  EXPECT_NE(a.metric_labels(), b.metric_labels());
+  // Interleaved traffic while both are live: 3 clips to a, 2 to b.
+  std::vector<std::future<StatusOr<InferenceResult>>> futures;
+  for (int i = 0; i < 5; ++i) {
+    serve::InferenceServer& target = i % 2 == 0 ? a : b;
+    futures.push_back(target.SubmitAsync(MakeClip(i % 4, 300 + i)));
+  }
+  for (auto& f : futures) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  const serve::ServerStats sa = a.Stats();
+  const serve::ServerStats sb = b.Stats();
+  EXPECT_EQ(sa.accepted, 3);
+  EXPECT_EQ(sa.completed, 3);
+  EXPECT_EQ(sb.accepted, 2);
+  EXPECT_EQ(sb.completed, 2);
+  // Each server's registry counter is its Stats(), and the process-wide
+  // total is their sum.
+  EXPECT_EQ(reg.GetCounter("serve.completed", a.metric_labels()).value(),
+            sa.completed);
+  EXPECT_EQ(reg.GetCounter("serve.completed", b.metric_labels()).value(),
+            sb.completed);
+  EXPECT_EQ(reg.CounterTotal("serve.completed") - total_before,
+            sa.completed + sb.completed);
+  EXPECT_EQ(reg.GetHistogram("serve.latency_us", a.metric_labels())
+                .stats()
+                .count,
+            3);
 }
 
 // --- InferenceSession facade ------------------------------------------
